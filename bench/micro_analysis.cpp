@@ -2,16 +2,22 @@
 // stochastic modified-Cholesky (P-EnKF's scheme, eq. (6)) vs the
 // deterministic ensemble transform, across expansion sizes and ensemble
 // sizes.  These are the per-stage compute costs the "c" constant of the
-// cost model abstracts.
+// cost model abstracts.  Every entry runs local_analysis_packed, the
+// entry point the parallel engines call: one workspace reused across
+// iterations, results projected straight into a pooled wire payload.
 // Each entry also reports patches/sec (items_per_second) and a
 // steady-state allocs/patch counter read from the analysis.alloc.events
 // telemetry delta — the same signal the alloc-budget ctest gate asserts
 // is zero, here visible per shape in the nightly JSON.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "enkf/local_analysis.hpp"
+#include "enkf/patch_wire.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
+#include "parcomm/wire.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -24,16 +30,19 @@ struct Fixture {
   grid::SyntheticEnsemble scenario;
   obs::ObservationSet observations;
   linalg::Matrix ys;
-  std::vector<grid::Patch> background;
+  std::vector<grid::PatchView> background;  ///< views of the member fields
+  std::vector<grid::Index> member_ids;
 
   Fixture(grid::Index side, grid::Index members)
       : mesh(side, side),
         scenario(make_scenario(mesh, members)),
         observations(make_obs(mesh, scenario.truth)),
-        ys(obs::perturbed_observations(observations, members, Rng(3))) {
+        ys(obs::perturbed_observations(observations, members, Rng(3))),
+        member_ids(members) {
     for (const auto& member : scenario.members) {
-      background.push_back(member.extract(mesh.bounds()));
+      background.emplace_back(mesh.bounds(), member.data());
     }
+    std::iota(member_ids.begin(), member_ids.end(), grid::Index{0});
   }
 
   static grid::SyntheticEnsemble make_scenario(const grid::LatLonGrid& mesh,
@@ -57,20 +66,31 @@ void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
   enkf::AnalysisOptions options;
   options.kind = kind;
   options.halo = grid::Halo{2, 1};
-  // One warm call puts arena growth, localization build and counter
-  // registration outside the measured region (and outside the
-  // allocs-per-patch delta).
-  benchmark::DoNotOptimize(enkf::local_analysis(
-      fixture.background, fixture.mesh.bounds(), fixture.observations,
-      fixture.ys, options));
+  const grid::Rect rect = fixture.mesh.bounds();
+  const std::size_t bytes =
+      members * (sizeof(std::uint64_t) + enkf::packed_patch_size(rect));
+  enkf::LocalAnalysisWorkspace workspace;
+  const auto analyse = [&] {
+    parcomm::Packer out;
+    out.reserve(bytes);
+    enkf::local_analysis_packed(fixture.background, rect, rect,
+                                fixture.observations, fixture.ys, options,
+                                fixture.member_ids, workspace, out);
+    // Sealing hands the buffer back to the payload pool on drop, as the
+    // engines' sends do.
+    const parcomm::SharedPayload sealed = out.take_shared();
+    benchmark::DoNotOptimize(sealed.bytes().data());
+  };
+  // One warm call puts arena growth, localization build, payload-pool
+  // fill and counter registration outside the measured region; the
+  // reset publishes the growth so it stays outside the allocs-per-patch
+  // delta too.
+  analyse();
+  workspace.reset();
   auto& registry = telemetry::Registry::global();
   const auto allocs0 = registry.counter_value("analysis.alloc.events");
   const auto patches0 = registry.counter_value("analysis.patches");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enkf::local_analysis(
-        fixture.background, fixture.mesh.bounds(), fixture.observations,
-        fixture.ys, options));
-  }
+  for (auto _ : state) analyse();
   const double patches =
       static_cast<double>(registry.counter_value("analysis.patches") - patches0);
   const double allocs = static_cast<double>(

@@ -57,9 +57,6 @@ struct Lease {
 
 }  // namespace
 
-LocalAnalysisWorkspace::LocalAnalysisWorkspace(support::Arena::Mode mode)
-    : arena_(mode) {}
-
 linalg::Matrix LocalAnalysisWorkspace::matrix(Index rows, Index cols) {
   const Index stride = linalg::Matrix::padded_stride(cols);
   auto storage = arena_.allocate_span<double>(rows * stride);

@@ -29,11 +29,7 @@ using grid::Index;
 
 class LocalAnalysisWorkspace {
  public:
-  /// Mode is forwarded to the arena — tests pin kPooled/kHeap to compare
-  /// the two allocation strategies explicitly; the pool uses kAuto
-  /// (SENKF_ARENA).
-  explicit LocalAnalysisWorkspace(
-      support::Arena::Mode mode = support::Arena::Mode::kAuto);
+  LocalAnalysisWorkspace() = default;
 
   LocalAnalysisWorkspace(const LocalAnalysisWorkspace&) = delete;
   LocalAnalysisWorkspace& operator=(const LocalAnalysisWorkspace&) = delete;

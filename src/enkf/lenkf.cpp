@@ -59,7 +59,6 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {
     const grid::SubdomainId my_id =
         decomposition.subdomain_of_rank(static_cast<Index>(world.rank()));
-    const grid::Rect my_expansion = decomposition.expansion(my_id);
 
     // --- obtain local data: single reader, serial scatter ----------------
     // Members are held as views: rank 0 views its own extracted pieces
@@ -147,24 +146,9 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
       return;
     }
 
-    std::vector<grid::Field> fields;
-    fields.reserve(n_members);
-    for (Index k = 0; k < n_members; ++k) fields.push_back(store.load_member(k));
-
-    // Consume result payloads in place: each patch is inserted into the
-    // member's field as a view, no intermediate Patch.
-    const auto apply = [&](const parcomm::SharedPayload& payload) {
-      parcomm::Unpacker unpacker(payload);
-      const auto count = unpacker.get<std::uint64_t>();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto member = unpacker.get<std::uint64_t>();
-        fields[member].insert(unpack_patch_view(unpacker));
-      }
-    };
-    apply(results.take_shared());
-    for (int r = 1; r < world.size(); ++r) {
-      apply(world.recv(r, kResultTag).payload);
-    }
+    std::vector<grid::Field> fields = gather_results(
+        world, kResultTag, world.size(), member_ids,
+        [&](Index k) { return store.load_member(k); }, results.take_shared());
     std::lock_guard<std::mutex> lock(result_mutex);
     result = std::move(fields);
   });

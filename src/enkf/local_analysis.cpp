@@ -262,9 +262,9 @@ linalg::Matrix deterministic_transform(const LoadedEnsemble& ens,
   return xa;
 }
 
-/// One engine behind every entry point: validate, localize (cached),
-/// skip or compute Xᵃ on the expansion.  Emission — views, wire bytes,
-/// or owning patches — is the caller's final step.
+/// One engine behind both entry points: validate, localize (cached),
+/// skip or compute Xᵃ on the expansion.  Emission — views or wire
+/// bytes — is the caller's final step.
 struct EngineOutput {
   std::shared_ptr<const obs::LocalObservations> local;
   linalg::Matrix xa;     ///< workspace scratch; unset when skipped
@@ -344,30 +344,6 @@ void extract_member(const grid::PatchView& member, grid::Rect target,
   }
 }
 
-AnalysisResult materialize_result(const EngineOutput& out,
-                                  std::span<const grid::PatchView> background,
-                                  grid::Rect expansion, grid::Rect target,
-                                  LocalAnalysisWorkspace& ws) {
-  AnalysisResult result;
-  result.local_observations = out.local->size();
-  result.members.reserve(background.size());
-  if (out.skipped) {
-    for (const auto& patch : background) {
-      result.members.push_back(patch.extract(target));
-    }
-    return result;
-  }
-  // Project into an arena slab, then range-construct the owning buffer —
-  // no zero-fill-then-overwrite and no per-element index arithmetic.
-  auto slab = ws.arena().allocate_span<double>(target.count());
-  for (Index k = 0; k < background.size(); ++k) {
-    project_member(out.xa, k, target, expansion, slab);
-    result.members.emplace_back(target,
-                                std::vector<double>(slab.begin(), slab.end()));
-  }
-  return result;
-}
-
 }  // namespace
 
 AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
@@ -419,47 +395,6 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
                      pack_patch_slot(out, target));
     }
   }
-}
-
-AnalysisResult local_analysis(std::span<const grid::PatchView> background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options) {
-  SENKF_REQUIRE(background.size() >= 2,
-                "local_analysis: need at least 2 ensemble members");
-  const grid::Rect expansion = background.front().rect();
-  for (const auto& patch : background) {
-    SENKF_REQUIRE(patch.rect() == expansion,
-                  "local_analysis: members must share the expansion rect");
-  }
-  LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
-  ws.reset();
-  const EngineOutput out = analyze(background, expansion, target,
-                                   observations, perturbed, options, ws);
-  return materialize_result(out, background, expansion, target, ws);
-}
-
-AnalysisResult local_analysis(const std::vector<grid::Patch>& background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options) {
-  SENKF_REQUIRE(background.size() >= 2,
-                "local_analysis: need at least 2 ensemble members");
-  LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
-  ws.reset();
-  // View list in the arena, not a per-call heap vector.
-  auto views = ws.views(background.size());
-  for (Index k = 0; k < background.size(); ++k) views[k] = background[k];
-  const grid::Rect expansion = views.front().rect();
-  for (const auto& patch : views) {
-    SENKF_REQUIRE(patch.rect() == expansion,
-                  "local_analysis: members must share the expansion rect");
-  }
-  const EngineOutput out = analyze(views, expansion, target, observations,
-                                   perturbed, options, ws);
-  return materialize_result(out, views, expansion, target, ws);
 }
 
 }  // namespace senkf::enkf

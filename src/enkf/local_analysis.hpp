@@ -18,16 +18,16 @@
 //
 // Execution model (DESIGN.md §15): all temporaries come from a
 // LocalAnalysisWorkspace, the observation localization comes from the
-// process-wide cache (obs/local_obs_cache.hpp), and results are emitted
-// three ways:
+// process-wide cache (obs/local_obs_cache.hpp), and the kernel has two
+// entry points that differ only in where the projected members go:
 //   * local_analysis_scratch — arena-backed views, zero allocation in
-//     steady state; what the hot paths consume.
+//     steady state; for callers that insert the result locally (the
+//     serial reference).
 //   * local_analysis_packed — projects straight into a Packer's payload
-//     bytes, for callers whose next step is the wire.
-//   * local_analysis (legacy overloads) — owning AnalysisResult, for the
-//     serial reference and existing tests.
-// All three run the same engine, so their values agree bit-for-bit with
-// each other and with the pre-workspace implementation.
+//     bytes, for callers whose next step is the wire (the parallel
+//     engines).
+// Both run the same engine, so their values agree bit-for-bit with each
+// other and with the pre-workspace implementation.
 #pragma once
 
 #include <span>
@@ -74,13 +74,6 @@ struct AnalysisOptions {
   double inflation = 1.0;
 };
 
-/// Result: the analysis restricted to the target rect, one patch per
-/// member (same order as the inputs).
-struct AnalysisResult {
-  std::vector<grid::Patch> members;
-  Index local_observations = 0;  ///< m̄: observations used
-};
-
 /// Zero-allocation result: one view per member over storage owned by the
 /// workspace that produced it.  Valid until that workspace is next used
 /// (its reset() rewinds the arena the values live in).
@@ -107,7 +100,7 @@ AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
 /// Same analysis, emitted straight onto the wire: for each member k the
 /// sequence [u64 member_ids[k]][patch block over `target`] is appended
 /// to `out`, the projection writing into the payload bytes in place.
-/// Byte-identical to pack_patch of the legacy result's patches.
+/// Byte-identical to pack_patch of the scratch result's member views.
 void local_analysis_packed(std::span<const grid::PatchView> background,
                            grid::Rect expansion, grid::Rect target,
                            const obs::ObservationSet& observations,
@@ -116,23 +109,6 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
                            std::span<const Index> member_ids,
                            LocalAnalysisWorkspace& workspace,
                            parcomm::Packer& out);
-
-/// Legacy owning entry point (members must all sit exactly on the
-/// expansion rect, as before).  Runs on this thread's pooled workspace.
-AnalysisResult local_analysis(std::span<const grid::PatchView> background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options);
-
-/// Adapter for callers holding owning Patches; the kernel itself only
-/// reads, so it runs on views built in the workspace arena (no per-call
-/// heap vector).
-AnalysisResult local_analysis(const std::vector<grid::Patch>& background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options);
 
 /// The localized predecessor oracle used for B̂⁻¹: predecessors of a point
 /// are the earlier points (row-major order within the expansion) whose

@@ -1,5 +1,10 @@
 #include "enkf/patch_wire.hpp"
 
+#include <algorithm>
+#include <limits>
+
+#include "telemetry/trace.hpp"
+
 namespace senkf::enkf {
 
 namespace {
@@ -80,6 +85,60 @@ PatchView unpack_patch_view(parcomm::Unpacker& unpacker) {
   SENKF_REQUIRE(values.size() == rect.count(),
                 "unpack_patch_view: body length disagrees with rect");
   return PatchView(rect, values);
+}
+
+parcomm::Packer join_layer_results(std::span<parcomm::Packer> layer_packs,
+                                   std::uint64_t records) {
+  std::size_t bytes = sizeof(std::uint64_t);
+  for (const parcomm::Packer& pack : layer_packs) bytes += pack.size();
+  parcomm::Packer results;
+  results.reserve(bytes);
+  results.put<std::uint64_t>(records);
+  for (parcomm::Packer& pack : layer_packs) {
+    const parcomm::Payload payload = pack.take();
+    results.put_raw(payload.data(), payload.size());
+  }
+  return results;
+}
+
+std::vector<grid::Field> gather_results(parcomm::Communicator& world, int tag,
+                                        int senders,
+                                        std::span<const grid::Index> members,
+                                        const MemberLoader& load,
+                                        const parcomm::SharedPayload& own) {
+  constexpr grid::Index kUnlisted = std::numeric_limits<grid::Index>::max();
+  grid::Index slots = 0;
+  for (const grid::Index member : members) slots = std::max(slots, member + 1);
+  std::vector<grid::Index> position(slots, kUnlisted);
+  std::vector<grid::Field> fields;
+  fields.reserve(members.size());
+  for (grid::Index i = 0; i < members.size(); ++i) {
+    position[members[i]] = i;
+    fields.push_back(load(members[i]));
+  }
+
+  const auto apply = [&](const parcomm::SharedPayload& payload) {
+    parcomm::Unpacker unpacker(payload);
+    const auto count = unpacker.get<std::uint64_t>();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto member = unpacker.get<std::uint64_t>();
+      SENKF_REQUIRE(member < slots && position[member] != kUnlisted,
+                    "gather_results: result for a member that is not listed");
+      fields[position[member]].insert(unpack_patch_view(unpacker));
+    }
+  };
+  apply(own);
+  for (int r = 1; r < senders; ++r) {
+    parcomm::Envelope envelope;
+    {
+      telemetry::TraceSpan wait_span(telemetry::Category::kWait,
+                                     "result_wait");
+      envelope = world.recv(r, tag);
+      wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
+    }
+    apply(envelope.payload);
+  }
+  return fields;
 }
 
 }  // namespace senkf::enkf

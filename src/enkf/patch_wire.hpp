@@ -1,4 +1,5 @@
-// Wire codec for grid patches used by every parcomm-based implementation.
+// Wire codec for grid patches used by every parcomm-based implementation,
+// and the rank-0 result gather they all share.
 //
 // The wire format of one block is: 4 u64 rect bounds, then a u64 count,
 // then `count` doubles (the same framing as Packer::put_span, so the body
@@ -9,7 +10,12 @@
 // on.
 #pragma once
 
+#include <functional>
+#include <span>
+#include <vector>
+
 #include "grid/field.hpp"
+#include "parcomm/communicator.hpp"
 #include "parcomm/wire.hpp"
 
 namespace senkf::enkf {
@@ -54,5 +60,32 @@ grid::Patch unpack_patch(parcomm::Unpacker& unpacker);
 /// Valid only while the payload lives — callers keep the SharedPayload
 /// handle alongside the view (DESIGN.md §10).
 PatchView unpack_patch_view(parcomm::Unpacker& unpacker);
+
+/// Joins per-layer analysis packs — runs of [u64 member][patch block]
+/// records from local_analysis_packed — in layer order into one result
+/// payload behind the u64 record count gather_results reads.  Sized
+/// exactly up front, so the join never reallocates.
+parcomm::Packer join_layer_results(std::span<parcomm::Packer> layer_packs,
+                                   std::uint64_t records);
+
+/// Loads one member's background field; engines with a retry policy put
+/// it inside the loader.
+using MemberLoader = std::function<grid::Field(grid::Index member)>;
+
+/// Rank 0's result assembly, the one step the parallel engines share
+/// after the analysis.  Loads the background of every member listed in
+/// `members` through `load` (the returned fields follow that order; an
+/// unlisted member, e.g. one S-EnKF dropped, is never loaded), applies
+/// rank 0's own payload `own`, then the `tag` payload of each rank
+/// 1..senders-1 in rank order, each received inside a `result_wait`
+/// span.  A result payload is a u64 record count followed by that many
+/// [u64 member][patch block] records — the framing local_analysis_packed
+/// writes — and every patch is inserted straight from the payload bytes.
+/// Throws InvalidArgument on a record for a member that is not listed.
+std::vector<grid::Field> gather_results(parcomm::Communicator& world, int tag,
+                                        int senders,
+                                        std::span<const grid::Index> members,
+                                        const MemberLoader& load,
+                                        const parcomm::SharedPayload& own);
 
 }  // namespace senkf::enkf

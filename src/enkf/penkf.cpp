@@ -104,47 +104,17 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
                             perturbed, config.analysis, member_ids,
                             LocalAnalysisWorkspace::for_this_thread(), pack);
     });
-    parcomm::Packer results;
-    {
-      std::size_t bytes = sizeof(std::uint64_t);
-      for (Index l = 0; l < config.layers; ++l) bytes += layer_packs[l].size();
-      results.reserve(bytes);
-    }
-    results.put<std::uint64_t>(config.layers * n_members);
-    for (Index l = 0; l < config.layers; ++l) {
-      const parcomm::Payload payload = layer_packs[l].take();
-      results.put_raw(payload.data(), payload.size());
-    }
+    parcomm::Packer results =
+        join_layer_results(layer_packs, config.layers * n_members);
 
     // --- gather at rank 0 -------------------------------------------------
     if (world.rank() != 0) {
       world.send(0, kResultTag, results.take());
       return;
     }
-    std::vector<grid::Field> fields;
-    fields.reserve(n_members);
-    for (Index k = 0; k < n_members; ++k) fields.push_back(store.load_member(k));
-    // Consume result payloads in place: each patch is inserted into the
-    // member's field as a view, no intermediate Patch.
-    const auto apply = [&](const parcomm::SharedPayload& payload) {
-      parcomm::Unpacker unpacker(payload);
-      const auto count = unpacker.get<std::uint64_t>();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto member = unpacker.get<std::uint64_t>();
-        fields[member].insert(unpack_patch_view(unpacker));
-      }
-    };
-    apply(results.take_shared());
-    for (int r = 1; r < world.size(); ++r) {
-      parcomm::Envelope envelope;
-      {
-        telemetry::TraceSpan wait_span(telemetry::Category::kWait,
-                                       "result_wait");
-        envelope = world.recv(r, kResultTag);
-        wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
-      }
-      apply(envelope.payload);
-    }
+    std::vector<grid::Field> fields = gather_results(
+        world, kResultTag, world.size(), member_ids,
+        [&](Index k) { return store.load_member(k); }, results.take_shared());
     std::lock_guard<std::mutex> lock(result_mutex);
     result = std::move(fields);
   });

@@ -1113,23 +1113,8 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
                   "senkf: member died mid-run; stages saw different ensembles");
   }
 
-  parcomm::Packer results;
-  {
-    // Exact-size packing: one reserve (pool-recycled when a buffer
-    // fits), zero reallocation while the layers stream in.
-    std::size_t bytes = sizeof(std::uint64_t);
-    for (Index l = 0; l < config.layers; ++l) {
-      bytes += live.size() *
-               (sizeof(std::uint64_t) +
-                packed_patch_size(decomposition.layer(my_id, l, config.layers)));
-    }
-    results.reserve(bytes);
-  }
-  results.put<std::uint64_t>(config.layers * live.size());
-  for (Index l = 0; l < config.layers; ++l) {
-    const parcomm::Payload payload = layer_packs[l].take();
-    results.put_raw(payload.data(), payload.size());
-  }
+  parcomm::Packer results =
+      join_layer_results(layer_packs, config.layers * live.size());
   helper.join();
   if (helper_error) std::rethrow_exception(helper_error);
 
@@ -1175,47 +1160,21 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   // Rank 0 assembles the analysis fields for the surviving members.
   const std::vector<Index> dropped = buffers.dead_members();
   phases.members_dropped.add(dropped.size());
-  std::vector<Index> position(n_members, n_members);
-  std::vector<grid::Field> fields;
-  fields.reserve(live.size());
   const pfs::Sleeper sleeper = pfs::real_sleeper();
-  for (std::size_t idx = 0; idx < live.size(); ++idx) {
-    const Index member = live[idx];
-    position[member] = static_cast<Index>(idx);
-    // Background loads go through the same retry policy as bar reads: a
-    // transient fault here must not abort a run the pipeline survived.
-    fields.push_back(pfs::with_retry(
+  // Background loads go through the same retry policy as bar reads: a
+  // transient fault here must not abort a run the pipeline survived.
+  const MemberLoader load = [&](Index member) {
+    return pfs::with_retry(
         config.fault.retry, pfs::op_key(member, ~std::uint64_t{0}), sleeper,
         [&] { return store.load_member(member); },
         [&](int) {
           phases.read_retries.add(1);
           local.retries.add(1);
-        }));
-  }
-  // Result payloads are consumed in place: each patch becomes a view
-  // inserted straight into the member's field, no intermediate Patch.
-  const auto apply = [&](const parcomm::SharedPayload& payload) {
-    parcomm::Unpacker unpacker(payload);
-    const auto count = unpacker.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto member = unpacker.get<std::uint64_t>();
-      SENKF_REQUIRE(member < n_members && position[member] < n_members,
-                    "senkf: result for a dropped or unknown member");
-      fields[position[member]].insert(unpack_patch_view(unpacker));
-    }
+        });
   };
-  apply(results.take_shared());
-  for (Index r = 1; r < config.computation_ranks(); ++r) {
-    parcomm::Envelope envelope;
-    {
-      telemetry::TraceSpan wait_span(telemetry::Category::kWait,
-                                     "result_wait");
-      envelope = world.recv(static_cast<int>(r), kResultTag);
-      wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
-    }
-    apply(envelope.payload);
-  }
-  *result_out = std::move(fields);
+  *result_out = gather_results(
+      world, kResultTag, static_cast<int>(config.computation_ranks()), live,
+      load, results.take_shared());
   *dropped_out = dropped;
 
   // Every rank's done marker is in flight before its result payload, so
@@ -1279,7 +1238,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
 
   // Observability plane state shared by every rank thread of this run.
   // SENKF_SKEW_WARN overrides the configured straggler threshold
-  // (a positive ratio, or "off"/"0"/"false" to disable the monitor).
+  // (a positive ratio, or "off"/"0"/"false" to disable the monitor);
+  // anything else is ignored with a WARN.
   ObservabilityContext ctx;
   ctx.monitor = config.monitor;
   if (const char* env = std::getenv("SENKF_SKEW_WARN")) {
@@ -1289,8 +1249,12 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     } else if (!value.empty()) {
       char* end = nullptr;
       const double ratio = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() && ratio > 0.0) {
+      if (end != value.c_str() && *end == '\0' && ratio > 0.0) {
         ctx.monitor.skew_warn_ratio = ratio;
+      } else {
+        SENKF_LOG_WARN("senkf: ignoring SENKF_SKEW_WARN='", value,
+                       "' (expected a positive ratio or off); keeping ",
+                       ctx.monitor.skew_warn_ratio);
       }
     }
   }

@@ -70,8 +70,6 @@ class SharedBufferPool {
   /// multi-megabyte allocations to be faithful.
   static constexpr std::size_t kMaxModelBytes = std::size_t{1} << 20;
 
-  SharedBufferPool() : pool_(/*enabled=*/true) {}
-
   /// One job's working set of scatter buffers, held for its duration.
   struct JobBuffers {
     std::vector<parcomm::Payload> buffers;

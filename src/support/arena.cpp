@@ -1,9 +1,9 @@
 #include "support/arena.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <new>
+
+#include <sanitizer/asan_interface.h>
 
 #include "support/error.hpp"
 
@@ -19,41 +19,38 @@ std::size_t align_up(std::size_t n) {
 
 }  // namespace
 
-bool Arena::pooled_by_env() {
-  static const bool pooled = [] {
-    const char* env = std::getenv("SENKF_ARENA");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-  }();
-  return pooled;
+Arena::~Arena() {
+  for (const Chunk& chunk : chunks_) free_chunk(chunk);
 }
 
-Arena::Arena(Mode mode)
-    : pooled_(mode == Mode::kAuto ? pooled_by_env() : mode == Mode::kPooled) {}
+Arena::Chunk Arena::new_chunk(std::size_t size) {
+  Chunk chunk;
+  chunk.data = static_cast<std::byte*>(
+      ::operator new(size, std::align_val_t{kAlignment}));
+  chunk.size = size;
+  ASAN_POISON_MEMORY_REGION(chunk.data, chunk.size);
+  stats_.chunk_allocs += 1;
+  return chunk;
+}
 
-Arena::~Arena() {
-  rewind(Marker{});  // frees kHeap blocks; pooled chunks are freed below
-  for (Chunk& chunk : chunks_) {
-    ::operator delete(chunk.data, std::align_val_t{kAlignment});
-  }
+void Arena::free_chunk(Chunk chunk) {
+  ASAN_UNPOISON_MEMORY_REGION(chunk.data, chunk.size);
+  ::operator delete(chunk.data, std::align_val_t{kAlignment});
 }
 
 void* Arena::allocate(std::size_t bytes) {
   if (bytes == 0) bytes = kAlignment;  // distinct, aligned, harmless
   bytes = align_up(bytes);
-  void* out = pooled_ ? allocate_pooled(bytes) : allocate_heap(bytes);
   in_use_ += bytes;
   stats_.high_water_bytes = std::max(stats_.high_water_bytes, in_use_);
-  return out;
-}
 
-void* Arena::allocate_pooled(std::size_t bytes) {
   // Bump within the active chunk; on overflow, advance through existing
   // chunks (they survive reset) before growing the list.
   while (active_ < chunks_.size()) {
     if (used_ + bytes <= chunks_[active_].size) {
       void* out = chunks_[active_].data + used_;
       used_ += bytes;
+      ASAN_UNPOISON_MEMORY_REGION(out, bytes);
       return out;
     }
     ++active_;
@@ -62,24 +59,12 @@ void* Arena::allocate_pooled(std::size_t bytes) {
   // Doubling growth bounds the chunk count at log(total); the first
   // chunk is big enough that small analyses never grow at all.
   const std::size_t last = chunks_.empty() ? 0 : chunks_.back().size;
-  const std::size_t size = std::max({bytes, 2 * last, kMinChunkBytes});
-  Chunk chunk;
-  chunk.data = static_cast<std::byte*>(
-      ::operator new(size, std::align_val_t{kAlignment}));
-  chunk.size = size;
-  chunks_.push_back(chunk);
-  stats_.chunk_allocs += 1;
-  stats_.capacity_bytes += size;
+  chunks_.push_back(new_chunk(std::max({bytes, 2 * last, kMinChunkBytes})));
+  stats_.capacity_bytes += chunks_.back().size;
   active_ = chunks_.size() - 1;
   used_ = bytes;
-  return chunk.data;
-}
-
-void* Arena::allocate_heap(std::size_t bytes) {
-  void* out = ::operator new(bytes, std::align_val_t{kAlignment});
-  blocks_.push_back(out);
-  stats_.chunk_allocs += 1;
-  return out;
+  ASAN_UNPOISON_MEMORY_REGION(chunks_.back().data, bytes);
+  return chunks_.back().data;
 }
 
 Arena::Marker Arena::mark() const {
@@ -87,21 +72,19 @@ Arena::Marker Arena::mark() const {
   marker.chunk = active_;
   marker.used = used_;
   marker.in_use = in_use_;
-  marker.blocks = blocks_.size();
   return marker;
 }
 
 void Arena::rewind(const Marker& marker) {
   SENKF_ASSERT(marker.in_use <= in_use_);
-  if (pooled_) {
-    active_ = marker.chunk;
-    used_ = marker.used;
-  } else {
-    while (blocks_.size() > marker.blocks) {
-      ::operator delete(blocks_.back(), std::align_val_t{kAlignment});
-      blocks_.pop_back();
-    }
+  // Everything handed out past the marker dies: re-poison it, from the
+  // marker to the end of its chunk and every later chunk bumped since.
+  for (std::size_t c = marker.chunk; c <= active_ && c < chunks_.size(); ++c) {
+    const std::size_t from = c == marker.chunk ? marker.used : 0;
+    ASAN_POISON_MEMORY_REGION(chunks_[c].data + from, chunks_[c].size - from);
   }
+  active_ = marker.chunk;
+  used_ = marker.used;
   in_use_ = marker.in_use;
 }
 
@@ -113,19 +96,13 @@ void Arena::reset() {
   // pass that grew it; a single chunk has no boundaries, so anything
   // that ever fit keeps fitting — steady state is reached one reset
   // after the largest shape, permanently.
-  if (pooled_ && chunks_.size() > 1) {
+  if (chunks_.size() > 1) {
     std::size_t total = 0;
-    for (const Chunk& chunk : chunks_) total += chunk.size;
-    for (Chunk& chunk : chunks_) {
-      ::operator delete(chunk.data, std::align_val_t{kAlignment});
+    for (const Chunk& chunk : chunks_) {
+      total += chunk.size;
+      free_chunk(chunk);
     }
-    chunks_.clear();
-    Chunk merged;
-    merged.data = static_cast<std::byte*>(
-        ::operator new(total, std::align_val_t{kAlignment}));
-    merged.size = total;
-    chunks_.push_back(merged);
-    stats_.chunk_allocs += 1;
+    chunks_.assign(1, new_chunk(total));
     stats_.capacity_bytes = total;
   }
   rewind(Marker{});

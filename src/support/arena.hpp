@@ -14,10 +14,11 @@
 // (via enkf::LocalAnalysisWorkspace).  Stats (high-water bytes, chunk
 // allocations, resets) are exported by the owner as `analysis.arena.*`.
 //
-// Kill switch: SENKF_ARENA=off (or 0) makes every allocation an
-// individual heap block that `rewind()`/`reset()` actually frees — the
-// debugging mode in which AddressSanitizer sees a use-after-rewind as a
-// real use-after-free instead of a silent read of recycled arena bytes.
+// Under AddressSanitizer every byte past the bump pointer is poisoned:
+// fresh chunks start poisoned, `allocate()` unpoisons what it hands out
+// and `rewind()`/`reset()` poison it again, so a use-after-rewind is
+// reported as a use-after-poison instead of a silent read of recycled
+// arena bytes.  Without ASan the poisoning compiles to nothing.
 #pragma once
 
 #include <cstddef>
@@ -33,22 +34,15 @@ class Arena {
   /// SIMD vector alignment the kernels use).
   static constexpr std::size_t kAlignment = 64;
 
-  enum class Mode {
-    kAuto,     ///< follow SENKF_ARENA (default: pooled)
-    kPooled,   ///< chunked bump allocator (the fast path)
-    kHeap,     ///< one heap block per allocation, freed on rewind
-  };
-
   struct Stats {
     std::size_t high_water_bytes = 0;  ///< max bytes in use at once
     std::size_t capacity_bytes = 0;    ///< total bytes owned by chunks
-    std::uint64_t chunk_allocs = 0;    ///< heap allocations made (chunks
-                                       ///< in pooled mode, blocks in heap
-                                       ///< mode) — 0 growth = steady state
+    std::uint64_t chunk_allocs = 0;    ///< chunk heap allocations made —
+                                       ///< 0 growth = steady state
     std::uint64_t resets = 0;          ///< reset() calls
   };
 
-  explicit Arena(Mode mode = Mode::kAuto);
+  Arena() = default;
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -69,22 +63,16 @@ class Arena {
     std::size_t chunk = 0;
     std::size_t used = 0;
     std::size_t in_use = 0;
-    std::size_t blocks = 0;  ///< heap mode: live block count
   };
 
   Marker mark() const;
   void rewind(const Marker& marker);
 
-  /// Releases everything (monotonic rewind to empty; frees blocks in
-  /// heap mode, keeps chunks in pooled mode).
+  /// Releases everything (monotonic rewind to empty; keeps the chunks).
   void reset();
 
-  bool pooled() const { return pooled_; }
   std::size_t bytes_in_use() const { return in_use_; }
   const Stats& stats() const { return stats_; }
-
-  /// The process-wide SENKF_ARENA resolution (read once).
-  static bool pooled_by_env();
 
  private:
   struct Chunk {
@@ -92,15 +80,13 @@ class Arena {
     std::size_t size = 0;
   };
 
-  void* allocate_pooled(std::size_t bytes);
-  void* allocate_heap(std::size_t bytes);
+  Chunk new_chunk(std::size_t size);
+  static void free_chunk(Chunk chunk);
 
-  bool pooled_ = true;
   std::vector<Chunk> chunks_;
   std::size_t active_ = 0;  ///< index of the chunk being bumped
   std::size_t used_ = 0;    ///< bytes used in the active chunk
-  std::size_t in_use_ = 0;  ///< live bytes across all chunks/blocks
-  std::vector<void*> blocks_;  ///< heap mode: individually freed
+  std::size_t in_use_ = 0;  ///< live bytes across all chunks
   Stats stats_;
 };
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -176,7 +177,7 @@ ProfileEnvConfig parse_profile_env(const char* value) {
   if (v.empty() || v == "off" || v == "0" || v == "false") return config;
   config.enabled = true;
   std::string rate = v;
-  if (v == "on" || v == "1" || v == "true") {
+  if (v == "on" || v == "1" || v == "true" || v == "cpu") {
     rate.clear();
   } else if (v == "wall") {
     config.wall = true;
@@ -190,8 +191,11 @@ ProfileEnvConfig parse_profile_env(const char* value) {
   if (!rate.empty()) {
     char* end = nullptr;
     const long hz = std::strtol(rate.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || hz <= 0) {
-      config.enabled = false;  // unparsable rate: stay off, never crash
+    if (end == rate.c_str() || *end != '\0' || hz <= 0) {
+      // Unparsable: stay off, never crash — but say so.
+      std::cerr << "[senkf profiler] WARN ignoring SENKF_PROFILE='" << v
+                << "' (expected off|on|<hz>|cpu[:<hz>]|wall[:<hz>])\n";
+      config.enabled = false;
       return config;
     }
     config.hz = static_cast<int>(std::clamp<long>(hz, 1, 1000));

@@ -37,8 +37,10 @@ namespace senkf::telemetry::liveops {
 inline constexpr int kDefaultProfileHz = 97;
 
 /// Parsed form of SENKF_PROFILE (exposed for tests):
-/// off|on|<hz>|cpu:<hz>|wall|wall:<hz>.  `on` and bare `<hz>` mean cpu
-/// mode; hz is clamped to [1, 1000].
+/// off|on|<hz>|cpu|cpu:<hz>|wall|wall:<hz>.  `on`, `cpu` and bare
+/// `<hz>` mean cpu mode; hz is clamped to [1, 1000].  Any other value
+/// (or an unparsable rate) leaves the profiler off and logs one WARN
+/// to stderr.
 struct ProfileEnvConfig {
   bool enabled = false;
   bool wall = false;

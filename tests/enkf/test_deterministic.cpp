@@ -17,6 +17,13 @@
 namespace senkf::enkf {
 namespace {
 
+AnalysisOptions transform_options() {
+  AnalysisOptions opt;
+  opt.kind = AnalysisKind::kDeterministicTransform;
+  opt.halo = grid::Halo{2, 1};
+  return opt;
+}
+
 struct World {
   grid::LatLonGrid g{20, 12};
   grid::SyntheticEnsemble scenario;
@@ -45,27 +52,29 @@ struct World {
     return obs::random_network(g, truth, rng, opt);
   }
 
-  std::vector<grid::Patch> patches(grid::Rect rect) const {
-    std::vector<grid::Patch> out;
+  /// Every member viewed on the whole grid; the kernel gathers each
+  /// expansion window in place.
+  std::vector<grid::PatchView> views() const {
+    std::vector<grid::PatchView> out;
     for (const auto& member : scenario.members) {
-      out.push_back(member.extract(rect));
+      out.emplace_back(g.bounds(), member.data());
     }
     return out;
   }
-};
 
-AnalysisOptions transform_options() {
-  AnalysisOptions opt;
-  opt.kind = AnalysisKind::kDeterministicTransform;
-  opt.halo = grid::Halo{2, 1};
-  return opt;
-}
+  /// Runs the transform on `rect` (expansion = target) in `ws`.
+  AnalysisView analyse(grid::Rect rect, const linalg::Matrix& perturbed,
+                       LocalAnalysisWorkspace& ws) const {
+    return local_analysis_scratch(views(), rect, rect, observations,
+                                  perturbed, transform_options(), ws);
+  }
+};
 
 TEST(Deterministic, ReducesErrorAgainstTruth) {
   const World w(1);
   const grid::Rect whole = w.g.bounds();
-  const auto result = local_analysis(w.patches(whole), whole, w.observations,
-                                     w.ys, transform_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = w.analyse(whole, w.ys, ws);
   double before = 0.0, after = 0.0;
   const grid::Patch truth = w.scenario.truth.extract(whole);
   for (Index k = 0; k < result.members.size(); ++k) {
@@ -83,8 +92,8 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
   // equations with LU and rebuild x̄ᵃ = x̄ + U w̄ by hand.
   const World w(2, 6, 30);
   const grid::Rect rect = w.g.bounds();
-  const auto result = local_analysis(w.patches(rect), rect, w.observations,
-                                     w.ys, transform_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = w.analyse(rect, w.ys, ws);
 
   const Index n = rect.count(), members = 6;
   linalg::Matrix xb(n, members);
@@ -131,8 +140,8 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
 TEST(Deterministic, ShrinksSpreadWithoutPerturbedNoise) {
   const World w(3);
   const grid::Rect whole = w.g.bounds();
-  const auto result = local_analysis(w.patches(whole), whole, w.observations,
-                                     w.ys, transform_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = w.analyse(whole, w.ys, ws);
   // Rebuild fields to reuse the spread diagnostic.
   std::vector<grid::Field> analysis;
   for (const auto& patch : result.members) {
@@ -147,14 +156,15 @@ TEST(Deterministic, IgnoresPerturbedObservations) {
   // The transform must not read Ys: different perturbations, same result.
   const World w(4);
   const grid::Rect whole = w.g.bounds();
-  const auto a = local_analysis(w.patches(whole), whole, w.observations,
-                                w.ys, transform_options());
+  LocalAnalysisWorkspace ws_a;
+  LocalAnalysisWorkspace ws_b;
+  const AnalysisView a = w.analyse(whole, w.ys, ws_a);
   const auto other_ys =
       obs::perturbed_observations(w.observations, 8, senkf::Rng(999));
-  const auto b = local_analysis(w.patches(whole), whole, w.observations,
-                                other_ys, transform_options());
+  const AnalysisView b = w.analyse(whole, other_ys, ws_b);
   for (Index k = 0; k < a.members.size(); ++k) {
-    EXPECT_EQ(a.members[k].values(), b.members[k].values());
+    EXPECT_EQ(a.members[k].materialize().values(),
+              b.members[k].materialize().values());
   }
 }
 
@@ -190,11 +200,11 @@ TEST(Deterministic, SkipsRegionsWithoutObservations) {
     rect = grid::Rect{{10, 16}, {6, 10}};
   }
   ASSERT_FALSE(w.observations.components()[0].supported_by(rect));
-  const auto result = local_analysis(w.patches(rect), rect, w.observations,
-                                     w.ys, transform_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = w.analyse(rect, w.ys, ws);
   for (Index k = 0; k < result.members.size(); ++k) {
     const grid::Patch bg = w.scenario.members[k].extract(rect);
-    EXPECT_EQ(result.members[k].values(), bg.values());
+    EXPECT_EQ(result.members[k].materialize().values(), bg.values());
   }
 }
 

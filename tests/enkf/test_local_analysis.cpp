@@ -40,10 +40,12 @@ struct Scenario {
     return obs::random_network(g, truth, rng, opt);
   }
 
-  std::vector<grid::Patch> patches(grid::Rect rect) const {
-    std::vector<grid::Patch> out;
+  /// Every member viewed on the whole grid; the kernel gathers each
+  /// expansion window in place.
+  std::vector<grid::PatchView> views() const {
+    std::vector<grid::PatchView> out;
     for (const auto& member : ensemble.members) {
-      out.push_back(member.extract(rect));
+      out.emplace_back(g.bounds(), member.data());
     }
     return out;
   }
@@ -59,9 +61,10 @@ AnalysisOptions default_options() {
 TEST(LocalAnalysis, ReducesErrorAgainstTruth) {
   const Scenario sc(1);
   const grid::Rect whole = sc.g.bounds();
-  const auto result = local_analysis(sc.patches(whole), whole,
-                                     sc.observations, sc.ys,
-                                     default_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result =
+      local_analysis_scratch(sc.views(), whole, whole, sc.observations, sc.ys,
+                             default_options(), ws);
   ASSERT_EQ(result.members.size(), sc.ensemble.members.size());
   const grid::Patch truth_patch = sc.ensemble.truth.extract(whole);
   double before = 0.0, after = 0.0;
@@ -85,11 +88,12 @@ TEST(LocalAnalysis, NoObservationsLeavesBackgroundUntouched) {
   const auto& comp = sc.observations.components()[0];
   if (comp.supported_by(rect)) rect = grid::Rect{{8, 12}, {6, 10}};
   ASSERT_FALSE(comp.supported_by(rect));
-  const auto result = local_analysis(sc.patches(rect), rect, sc.observations,
-                                     sc.ys, default_options());
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = local_analysis_scratch(
+      sc.views(), rect, rect, sc.observations, sc.ys, default_options(), ws);
   for (Index k = 0; k < result.members.size(); ++k) {
     const grid::Patch bg = sc.ensemble.members[k].extract(rect);
-    EXPECT_EQ(result.members[k].values(), bg.values());
+    EXPECT_EQ(result.members[k].materialize().values(), bg.values());
   }
 }
 
@@ -99,8 +103,9 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
   const Scenario sc(3, 6, 25);
   const grid::Rect rect = sc.g.bounds();
   const AnalysisOptions opt = default_options();
-  const auto result =
-      local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
+  LocalAnalysisWorkspace ws;
+  const AnalysisView result = local_analysis_scratch(
+      sc.views(), rect, rect, sc.observations, sc.ys, opt, ws);
 
   const Index n = rect.count();
   const Index members = sc.ensemble.members.size();
@@ -145,11 +150,15 @@ TEST(LocalAnalysis, TargetProjectionExtractsSubRect) {
   const Scenario sc(4);
   const grid::Rect expansion{{0, 12}, {0, 8}};
   const grid::Rect target{{2, 8}, {2, 6}};
-  const auto full = local_analysis(sc.patches(expansion), expansion,
-                                   sc.observations, sc.ys, default_options());
-  const auto projected = local_analysis(sc.patches(expansion), target,
-                                        sc.observations, sc.ys,
-                                        default_options());
+  LocalAnalysisWorkspace full_ws;
+  LocalAnalysisWorkspace projected_ws;
+  const AnalysisView full =
+      local_analysis_scratch(sc.views(), expansion, expansion,
+                             sc.observations, sc.ys, default_options(),
+                             full_ws);
+  const AnalysisView projected =
+      local_analysis_scratch(sc.views(), expansion, target, sc.observations,
+                             sc.ys, default_options(), projected_ws);
   for (Index k = 0; k < projected.members.size(); ++k) {
     for (Index y = target.y.begin; y < target.y.end; ++y) {
       for (Index x = target.x.begin; x < target.x.end; ++x) {
@@ -163,26 +172,28 @@ TEST(LocalAnalysis, TargetProjectionExtractsSubRect) {
 TEST(LocalAnalysis, ValidatesInputs) {
   const Scenario sc(5);
   const grid::Rect rect{{0, 8}, {0, 8}};
-  auto patches = sc.patches(rect);
+  const auto views = sc.views();
+  LocalAnalysisWorkspace ws;
+  const auto analyse = [&](std::span<const grid::PatchView> background,
+                           grid::Rect target, const linalg::Matrix& ys) {
+    return local_analysis_scratch(background, rect, target, sc.observations,
+                                  ys, default_options(), ws);
+  };
   // Target outside expansion.
-  EXPECT_THROW(local_analysis(patches, grid::Rect{{0, 9}, {0, 8}},
-                              sc.observations, sc.ys, default_options()),
+  EXPECT_THROW(analyse(views, grid::Rect{{0, 9}, {0, 8}}, sc.ys),
                senkf::InvalidArgument);
-  // Mismatched member rects.
-  auto bad = patches;
-  bad[1] = sc.ensemble.members[1].extract(grid::Rect{{0, 8}, {0, 7}});
-  EXPECT_THROW(local_analysis(bad, rect, sc.observations, sc.ys,
-                              default_options()),
-               senkf::InvalidArgument);
+  // A member that does not cover the expansion.
+  const grid::Patch short_member =
+      sc.ensemble.members[1].extract(grid::Rect{{0, 8}, {0, 7}});
+  auto bad = views;
+  bad[1] = short_member;
+  EXPECT_THROW(analyse(bad, rect, sc.ys), senkf::InvalidArgument);
   // Too few members.
-  EXPECT_THROW(local_analysis({patches[0]}, rect, sc.observations, sc.ys,
-                              default_options()),
+  EXPECT_THROW(analyse(std::span(views).first(1), rect, sc.ys),
                senkf::InvalidArgument);
   // Wrong Ys width.
-  linalg::Matrix bad_ys(sc.observations.size(), 3);
-  EXPECT_THROW(local_analysis(patches, rect, sc.observations, bad_ys,
-                              default_options()),
-               senkf::InvalidArgument);
+  const linalg::Matrix bad_ys(sc.observations.size(), 3);
+  EXPECT_THROW(analyse(views, rect, bad_ys), senkf::InvalidArgument);
 }
 
 TEST(ExpansionPredecessors, RespectsHaloWindow) {

@@ -227,6 +227,19 @@ TEST(Observability, SkewWarnEnvOffDisablesTheMonitor) {
   EXPECT_GT(stats.read_skew, 2.0);
 }
 
+TEST(Observability, SkewWarnEnvInvalidValueWarnsAndKeepsTheThreshold) {
+  const World w(47);
+  for (const char* value : {"fast", "-1", "2.5x"}) {
+    ::setenv("SENKF_SKEW_WARN", value, 1);
+    ::testing::internal::CaptureStderr();
+    (void)senkf(w.store, w.observations, w.ys, senkf_config(2, 2));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ::unsetenv("SENKF_SKEW_WARN");
+    EXPECT_NE(err.find("ignoring SENKF_SKEW_WARN"), std::string::npos)
+        << value;
+  }
+}
+
 TEST(Observability, BackToBackRunsDoNotInheritTotals) {
   const World w(46);
   const SenkfConfig config = senkf_config();

@@ -79,12 +79,14 @@ TEST(SerialEnkf, SingleSubdomainEqualsGlobalAnalysis) {
   c.analysis.halo = grid::Halo{2, 1};
   const auto via_serial = serial_enkf(w.store, w.observations, w.ys, c);
 
-  std::vector<grid::Patch> background;
+  std::vector<grid::PatchView> background;
   for (const auto& member : w.scenario.members) {
-    background.push_back(member.extract(w.g.bounds()));
+    background.emplace_back(w.g.bounds(), member.data());
   }
-  const auto direct = local_analysis(background, w.g.bounds(),
-                                     w.observations, w.ys, c.analysis);
+  LocalAnalysisWorkspace ws;
+  const AnalysisView direct =
+      local_analysis_scratch(background, w.g.bounds(), w.g.bounds(),
+                             w.observations, w.ys, c.analysis, ws);
   for (Index k = 0; k < direct.members.size(); ++k) {
     for (Index i = 0; i < w.g.size(); ++i) {
       EXPECT_DOUBLE_EQ(via_serial[k][i], direct.members[k].values()[i]);

@@ -7,7 +7,8 @@
 // linalg API, per-call LocalObservations, owning temporaries); every test
 // compares the production entry points against it with exact equality —
 // across analysis kinds, inflation settings, reused workspaces of varying
-// shapes, arena modes, threads, and the wire framing.
+// shapes, threads, and the wire framing.  Under AddressSanitizer it also
+// checks that a result read after its workspace is reset is reported.
 #include "enkf/local_analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,14 @@
 #include "obs/local_obs_cache.hpp"
 #include "obs/perturbed.hpp"
 #include "parcomm/wire.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SENKF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SENKF_TEST_ASAN 1
+#endif
+#endif
 
 namespace senkf::enkf {
 namespace {
@@ -76,6 +85,13 @@ AnalysisOptions options_for(AnalysisKind kind, double inflation) {
   opt.inflation = inflation;
   return opt;
 }
+
+/// The owning result the reference returns: the analysis restricted to
+/// the target rect, one patch per member (same order as the inputs).
+struct AnalysisResult {
+  std::vector<grid::Patch> members;
+  Index local_observations = 0;  ///< m̄: observations used
+};
 
 // ---------------------------------------------------------------------------
 // Reference: the pre-workspace local analysis, copied verbatim (allocating
@@ -237,6 +253,27 @@ AnalysisResult reference_local_analysis(
 
 // ---------------------------------------------------------------------------
 
+/// Copies a scratch result out of its workspace.
+AnalysisResult owned(const AnalysisView& view) {
+  AnalysisResult result;
+  result.local_observations = view.local_observations;
+  for (const grid::PatchView& member : view.members) {
+    result.members.push_back(member.materialize());
+  }
+  return result;
+}
+
+/// Runs the scratch kernel on owning patches that sit on the expansion.
+AnalysisView scratch_on(const std::vector<grid::Patch>& background,
+                        grid::Rect rect, const Scenario& sc,
+                        const AnalysisOptions& opt,
+                        LocalAnalysisWorkspace& ws,
+                        std::vector<grid::PatchView>& views) {
+  views.assign(background.begin(), background.end());
+  return local_analysis_scratch(views, rect, rect, sc.observations, sc.ys,
+                                opt, ws);
+}
+
 void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
   ASSERT_EQ(got.members.size(), want.members.size());
   EXPECT_EQ(got.local_observations, want.local_observations);
@@ -265,6 +302,8 @@ class Workspace : public ::testing::Test {
 
 TEST_F(Workspace, StochasticReuseMatchesSeedBitwise) {
   const Scenario sc(11);
+  LocalAnalysisWorkspace ws;
+  std::vector<grid::PatchView> views;
   for (const double inflation : {1.0, 1.05}) {
     const AnalysisOptions opt =
         options_for(AnalysisKind::kStochasticModifiedCholesky, inflation);
@@ -272,15 +311,16 @@ TEST_F(Workspace, StochasticReuseMatchesSeedBitwise) {
       const auto background = sc.patches(rect);
       const auto want = reference_local_analysis(background, rect,
                                                  sc.observations, sc.ys, opt);
-      const auto got =
-          local_analysis(background, rect, sc.observations, sc.ys, opt);
-      expect_identical(got, want);
+      expect_identical(owned(scratch_on(background, rect, sc, opt, ws, views)),
+                       want);
     }
   }
 }
 
 TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
   const Scenario sc(12);
+  LocalAnalysisWorkspace ws;
+  std::vector<grid::PatchView> views;
   for (const double inflation : {1.0, 1.05}) {
     const AnalysisOptions opt =
         options_for(AnalysisKind::kDeterministicTransform, inflation);
@@ -288,9 +328,8 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
       const auto background = sc.patches(rect);
       const auto want = reference_local_analysis(background, rect,
                                                  sc.observations, sc.ys, opt);
-      const auto got =
-          local_analysis(background, rect, sc.observations, sc.ys, opt);
-      expect_identical(got, want);
+      expect_identical(owned(scratch_on(background, rect, sc, opt, ws, views)),
+                       want);
     }
   }
 }
@@ -368,27 +407,34 @@ TEST_F(Workspace, PackedOutputIsByteIdenticalToSeedFraming) {
   expect_packed_matches_seed(sparse, empty_rect, opt, ws);
 }
 
-TEST_F(Workspace, HeapAndPooledArenaModesAgree) {
+TEST_F(Workspace, ReadAfterResetIsReportedUnderAsan) {
+#ifndef SENKF_TEST_ASAN
+  GTEST_SKIP() << "arena poisoning is only observable in ASan builds";
+#else
+  // A result view dies with the workspace's next reset(): the arena
+  // poisons the rewound bytes, so reading through the stale view must be
+  // reported instead of silently returning recycled values.  A warm-up
+  // call first brings the arena to its steady single chunk, so the reset
+  // below only rewinds (no chunk is freed) and the report is the
+  // poisoning's, not a use-after-free.
   const Scenario sc(15);
   const AnalysisOptions opt =
       options_for(AnalysisKind::kStochasticModifiedCholesky, 1.0);
-  LocalAnalysisWorkspace pooled(support::Arena::Mode::kPooled);
-  LocalAnalysisWorkspace heap(support::Arena::Mode::kHeap);
-  for (const grid::Rect rect : varied_rects()) {
-    const auto background = sc.patches(rect);
-    std::vector<grid::PatchView> views(background.begin(), background.end());
-    const AnalysisView a = local_analysis_scratch(
-        views, rect, rect, sc.observations, sc.ys, opt, pooled);
-    const AnalysisView b = local_analysis_scratch(
-        views, rect, rect, sc.observations, sc.ys, opt, heap);
-    ASSERT_EQ(a.members.size(), b.members.size());
-    for (Index k = 0; k < a.members.size(); ++k) {
-      const std::span<const double> av = a.members[k].values();
-      const std::span<const double> bv = b.members[k].values();
-      EXPECT_EQ(std::vector<double>(av.begin(), av.end()),
-                std::vector<double>(bv.begin(), bv.end()));
-    }
-  }
+  const grid::Rect rect{{0, 8}, {0, 8}};
+  const auto background = sc.patches(rect);
+  LocalAnalysisWorkspace ws;
+  std::vector<grid::PatchView> views;
+  (void)scratch_on(background, rect, sc, opt, ws, views);
+  const AnalysisView result = scratch_on(background, rect, sc, opt, ws, views);
+  const double* stale = result.members[0].values().data();
+  ws.reset();
+  EXPECT_DEATH(
+      {
+        volatile double value = stale[0];
+        (void)value;
+      },
+      "use-after-poison");
+#endif
 }
 
 TEST_F(Workspace, ConcurrentThreadWorkspacesMatchSeed) {
@@ -410,10 +456,12 @@ TEST_F(Workspace, ConcurrentThreadWorkspacesMatchSeed) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
+      std::vector<grid::PatchView> views;
       got[t].resize(rects.size());
       for (std::size_t i = 0; i < rects.size(); ++i) {
-        got[t][i] = local_analysis(sc.patches(rects[i]), rects[i],
-                                   sc.observations, sc.ys, opt);
+        got[t][i] = owned(
+            scratch_on(sc.patches(rects[i]), rects[i], sc, opt, ws, views));
       }
     });
   }

@@ -61,8 +61,32 @@ TEST(ProfileEnv, ParsesModesAndClampsRates) {
   EXPECT_TRUE(wall_hz.wall);
   EXPECT_EQ(wall_hz.hz, 10);
 
+  // A bare `cpu` starts the CPU profiler at the default rate.
+  const ProfileEnvConfig bare_cpu = parse_profile_env("cpu");
+  EXPECT_TRUE(bare_cpu.enabled);
+  EXPECT_FALSE(bare_cpu.wall);
+  EXPECT_EQ(bare_cpu.hz, kDefaultProfileHz);
+
   EXPECT_EQ(parse_profile_env("0").enabled, false);
   EXPECT_EQ(parse_profile_env("cpu:100000").hz, 1000);  // clamped
+}
+
+TEST(ProfileEnv, InvalidValuesStayOffAndWarnOnce) {
+  for (const char* value :
+       {"garbage", "cpu:fast", "cpu:-5", "wall:0", "wall:10x"}) {
+    ::testing::internal::CaptureStderr();
+    const ProfileEnvConfig config = parse_profile_env(value);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(config.enabled) << value;
+    EXPECT_NE(err.find("WARN"), std::string::npos) << value;
+    EXPECT_EQ(err.find("WARN"), err.rfind("WARN")) << value;
+  }
+  // Valid and off values are silent.
+  for (const char* value : {"off", "", "cpu", "wall:10", "250"}) {
+    ::testing::internal::CaptureStderr();
+    (void)parse_profile_env(value);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << value;
+  }
 }
 
 TEST(Profiler, HookBitFollowsStartStop) {
