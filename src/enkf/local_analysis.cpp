@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "enkf/patch_wire.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
@@ -131,7 +130,9 @@ LoadedEnsemble load_ensemble(std::span<const grid::PatchView> background,
 }
 
 /// Stochastic modified-Cholesky update: returns Xᵃ on the expansion
-/// (the inflated background updated in place by δX).
+/// (the inflated background updated in place by δX).  The system
+/// A = B̂⁻¹ + HᵀR⁻¹H is assembled straight into band storage and solved
+/// there — ≈ n̄·b² + 4·n̄·b·N flops, no n̄×n̄ matrix anywhere.
 linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
                                  const obs::LocalObservations& local,
                                  grid::Rect expansion,
@@ -141,28 +142,22 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   const Index n_bar = ens.xb.rows();
   const Index n_members = ens.xb.cols();
 
-  // B̂⁻¹ from the localized modified Cholesky decomposition.
-  linalg::ModifiedCholesky binv;
-  binv.l = ws.matrix(n_bar, n_bar);
-  binv.d = ws.vector(n_bar);
+  // B̂⁻¹ = LᵀD⁻¹L from the localized modified Cholesky decomposition, L
+  // row-compressed in the arena.
   ExpansionPredecessorOracle oracle(expansion, options.halo);
-  linalg::estimate_inverse_covariance_into(ens.anomalies, oracle,
-                                           options.ridge, ws.arena(), binv);
-  linalg::Matrix dinv_l = ws.matrix(n_bar, n_bar);
-  linalg::Matrix system = ws.matrix(n_bar, n_bar);
-  binv.inverse_covariance_into(dinv_l, system);
+  const linalg::ModifiedCholesky binv =
+      linalg::estimate_inverse_covariance_scratch(ens.anomalies, oracle,
+                                                  options.ridge, ws.arena());
 
-  // system += Hᵀ R⁻¹ H (R diagonal), precomputed with the localization.
-  if (local.empty()) {
-    // skip_without_obs=false on an empty rect: run the same (degenerate)
-    // product the cache skips building, so the added term is the same
-    // exact-zero matrix the unfused path formed.
-    linalg::Matrix ht_rinv_h = ws.matrix(n_bar, n_bar);
-    linalg::multiply_at_b_into(local.h(), local.rinv_h(), ht_rinv_h);
-    linalg::axpy(1.0, ht_rinv_h, system);
-  } else {
-    linalg::axpy(1.0, local.ht_rinv_h(), system);
-  }
+  // Half-bandwidth measured from what fills the band: L's furthest
+  // predecessor and the widest observation support.
+  const Index bandwidth = std::min(
+      n_bar - 1, std::max(binv.l.bandwidth(), local.h_bandwidth()));
+  linalg::BandMatrix system(
+      ws.doubles(linalg::BandMatrix::storage_size(n_bar, bandwidth)), n_bar,
+      bandwidth);
+  linalg::add_inverse_covariance(binv, system);
+  local.add_ht_rinv_h(system);
 
   // Weighted innovations R⁻¹(Yˢ − H X̄ᵇ) in one fused pass, then
   // RHS = Hᵀ R⁻¹ D straight into the solve's in-place buffer.
@@ -170,17 +165,16 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   linalg::Matrix local_ys = ws.matrix(m_bar, n_members);
   local.select_rows_into(perturbed, local_ys);
   linalg::Matrix hxb = ws.matrix(m_bar, n_members);
-  linalg::multiply_into(local.h(), ens.xb, hxb);
+  local.apply_h_into(ens.xb, hxb);
   linalg::Matrix innovations = ws.matrix(m_bar, n_members);
   linalg::weighted_residual_into(local_ys, hxb, local.r_inverse(),
                                  innovations);
   linalg::Matrix delta = ws.matrix(n_bar, n_members);
-  linalg::multiply_at_b_into(local.h(), innovations, delta);
+  local.apply_ht_into(innovations, delta);
 
-  // δX = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · RHS via Cholesky; Xᵃ = X̄ᵇ + δX.
-  linalg::Matrix lfac = ws.matrix(n_bar, n_bar);
-  linalg::cholesky_factor_into(system, lfac);
-  linalg::cholesky_solve_in_place(lfac, delta);
+  // δX = A⁻¹ · RHS by band Cholesky; Xᵃ = X̄ᵇ + δX.
+  linalg::band_cholesky_factor(system);
+  linalg::band_cholesky_solve_in_place(system, delta);
   linalg::axpy(1.0, delta, ens.xb);
   return std::move(ens.xb);
 }
@@ -289,6 +283,11 @@ EngineOutput analyze(std::span<const grid::PatchView> background,
                 "local_analysis: Ys must have one column per member");
   SENKF_REQUIRE(perturbed.rows() == observations.size(),
                 "local_analysis: Ys must have one row per observation");
+  // Options are checked before the no-observation skip, so a bad value
+  // fails on every rect, not only on the analysed ones.
+  SENKF_REQUIRE(options.inflation >= 1.0,
+                "local_analysis: inflation must be >= 1");
+  SENKF_REQUIRE(options.ridge >= 0.0, "local_analysis: ridge must be >= 0");
 
   patches_counter().add(1);
 
@@ -300,9 +299,6 @@ EngineOutput analyze(std::span<const grid::PatchView> background,
     out.skipped = true;
     return out;
   }
-
-  SENKF_REQUIRE(options.inflation >= 1.0,
-                "local_analysis: inflation must be >= 1");
 
   LoadedEnsemble ens =
       load_ensemble(background, expansion, options.inflation, ws);

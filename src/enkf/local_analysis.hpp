@@ -6,10 +6,15 @@
 //
 //   Xᵃ = P · [ X̄ᵇ + (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · Hᵀ R⁻¹ · (Yˢ − H X̄ᵇ) ]
 //
-// with B̂⁻¹ estimated by the localized modified Cholesky decomposition
-// (P-EnKF's estimator, refs [23][24]) and the SPD solve done by Cholesky.
-// P projects the expansion onto the target rectangle (never materialized,
-// exactly as §2.2 notes).
+// with B̂⁻¹ = LᵀD⁻¹L estimated by the localized modified Cholesky
+// decomposition (P-EnKF's estimator, refs [23][24]; L kept
+// row-compressed).  The SPD system B̂⁻¹ + HᵀR⁻¹H is banded in the
+// expansion's row-major order — L's predecessor window and each
+// observation's support reach only so far from the diagonal — so it is
+// assembled straight into band storage and solved by band Cholesky
+// (linalg/banded.hpp): ≈ n̄·b² + 4·n̄·b·N flops for half-bandwidth b,
+// and no n̄×n̄ matrix is ever formed.  P projects the expansion onto the
+// target rectangle (never materialized, exactly as §2.2 notes).
 //
 // Every implementation in this library — serial reference, L-EnKF,
 // P-EnKF, S-EnKF — calls this one kernel with identical inputs, which is

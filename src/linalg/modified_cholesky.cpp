@@ -5,56 +5,14 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/kernels/dispatch.hpp"
-#include "linalg/ops.hpp"
 
 namespace senkf::linalg {
-
-Matrix ModifiedCholesky::inverse_covariance() const {
-  const Index n = dim();
-  Matrix dinv_l(n, n);
-  Matrix out(n, n);
-  inverse_covariance_into(dinv_l, out);
-  return out;
-}
-
-void ModifiedCholesky::inverse_covariance_into(Matrix& dinv_l,
-                                               Matrix& out) const {
-  const Index n = dim();
-  SENKF_REQUIRE(dinv_l.rows() == n && dinv_l.cols() == n && out.rows() == n &&
-                    out.cols() == n,
-                "ModifiedCholesky::inverse_covariance_into: shape mismatch");
-  // B̂⁻¹ = Lᵀ D⁻¹ L.  Form D⁻¹L once, then multiply by Lᵀ.
-  dinv_l.assign_values(l);
-  for (Index i = 0; i < n; ++i) {
-    const double inv = 1.0 / d[i];
-    for (Index j = 0; j <= i; ++j) dinv_l(i, j) *= inv;
-  }
-  multiply_at_b_into(l, dinv_l, out);
-}
-
-Vector ModifiedCholesky::apply_inverse(const Vector& x) const {
-  SENKF_REQUIRE(x.size() == dim(), "ModifiedCholesky: length mismatch");
-  // y = Lᵀ D⁻¹ (L x)
-  Vector t = multiply(l, x);
-  for (Index i = 0; i < dim(); ++i) t[i] /= d[i];
-  return multiply_at(l, t);
-}
-
-Matrix ModifiedCholesky::apply_inverse(const Matrix& x) const {
-  SENKF_REQUIRE(x.rows() == dim(), "ModifiedCholesky: row mismatch");
-  Matrix t = multiply(l, x);
-  for (Index i = 0; i < dim(); ++i) {
-    const double inv = 1.0 / d[i];
-    for (Index j = 0; j < t.cols(); ++j) t(i, j) *= inv;
-  }
-  return multiply_at_b(l, t);
-}
 
 namespace {
 
 // Adapts the std::function oracle to the allocation-free interface so the
-// legacy entry point shares the _into implementation (no numeric drift
-// between the two).
+// allocating entry point shares the scratch implementation (no numeric
+// drift between the two).
 class FnOracle final : public PredecessorOracle {
  public:
   explicit FnOracle(const PredecessorFn& fn) : fn_(fn) {}
@@ -73,44 +31,47 @@ class FnOracle final : public PredecessorOracle {
 ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
                                              const PredecessorFn& predecessors,
                                              double ridge) {
-  const Index n = anomalies.rows();
-  ModifiedCholesky result;
-  result.l = Matrix(n, n);
-  result.d = Vector(n, 0.0);
   FnOracle oracle(predecessors);
   support::Arena arena;
-  estimate_inverse_covariance_into(anomalies, oracle, ridge, arena, result);
-  return result;
+  const ModifiedCholesky scratch =
+      estimate_inverse_covariance_scratch(anomalies, oracle, ridge, arena);
+  ModifiedCholesky owned = scratch;  // deep copy: outlives the arena
+  return owned;
 }
 
-void estimate_inverse_covariance_into(const Matrix& anomalies,
-                                      PredecessorOracle& predecessors,
-                                      double ridge, support::Arena& arena,
-                                      ModifiedCholesky& out) {
+ModifiedCholesky estimate_inverse_covariance_scratch(
+    const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
+    support::Arena& arena) {
   SENKF_REQUIRE(anomalies.cols() >= 2,
                 "modified Cholesky: need at least 2 ensemble members");
   SENKF_REQUIRE(ridge >= 0.0, "modified Cholesky: ridge must be >= 0");
   const Index n = anomalies.rows();
   const Index ens = anomalies.cols();
   const double denom = static_cast<double>(ens - 1);
-  SENKF_REQUIRE(out.l.rows() == n && out.l.cols() == n && out.d.size() == n,
-                "estimate_inverse_covariance_into: output shape mismatch");
 
-  // The column sweeps are dots and axpys over ensemble-sized rows, so
-  // they ride the dispatched SIMD kernels.
+  // Pass 1 sizes L: row i gets |pred(i)| entries.
+  auto row_start = arena.allocate_span<Index>(n + 1);
+  row_start[0] = 0;
+  for (Index i = 0; i < n; ++i) {
+    const support::Arena::Marker row_marker = arena.mark();
+    row_start[i + 1] =
+        row_start[i] + predecessors.predecessors(i, arena).size();
+    arena.rewind(row_marker);
+  }
+  ModifiedCholesky out{SparseUnitLower::scratch(row_start, arena),
+                       Vector::scratch(arena.allocate_span<double>(n))};
+
+  // Pass 2 fills it.  The column sweeps are dots and axpys over
+  // ensemble-sized rows, so they ride the dispatched SIMD kernels.
   const auto& table = kernels::active_kernels();
   const support::Arena::Marker outer = arena.mark();
   Vector fitted = Vector::scratch(arena.allocate_span<double>(ens));
 
   for (Index i = 0; i < n; ++i) {
-    // Row i of L is rebuilt from zero (out may be a reused scratch):
-    // unit diagonal, negated regression coefficients at the predecessors.
-    auto lrow = out.l.row(i);
-    std::fill(lrow.begin(), lrow.end(), 0.0);
-    out.l(i, i) = 1.0;
-
     const support::Arena::Marker row_marker = arena.mark();
     const std::span<const Index> pred = predecessors.predecessors(i, arena);
+    SENKF_REQUIRE(pred.size() == out.l.columns(i).size(),
+                  "modified Cholesky: predecessor oracle is not repeatable");
     for (const Index j : pred) {
       SENKF_REQUIRE(j < i, "modified Cholesky: predecessor must precede i");
     }
@@ -159,10 +120,40 @@ void estimate_inverse_covariance_into(const Matrix& anomalies,
     table.axpy(ens, -1.0, xi.data(), fitted.data());
     const double rss = table.dot(ens, fitted.data(), fitted.data());
     out.d[i] = std::max(rss / denom, ridge + 1e-12);
-    for (Index a = 0; a < p; ++a) out.l(i, pred[a]) = -beta[a];
+    const auto columns = out.l.columns(i);
+    const auto values = out.l.values(i);
+    for (Index a = 0; a < p; ++a) {
+      columns[a] = pred[a];
+      values[a] = -beta[a];
+    }
     arena.rewind(row_marker);
   }
   arena.rewind(outer);
+  return out;
+}
+
+void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a) {
+  const Index n = factors.dim();
+  SENKF_REQUIRE(a.dim() == n, "add_inverse_covariance: dimension mismatch");
+  SENKF_REQUIRE(factors.l.bandwidth() <= a.bandwidth(),
+                "add_inverse_covariance: band narrower than L");
+  for (Index i = 0; i < n; ++i) {
+    const std::span<const Index> columns = factors.l.columns(i);
+    const std::span<const double> values = factors.l.values(i);
+    // ℓ_i = e_i + Σ_s values[s]·e_{columns[s]}, scaled outer product into
+    // the lower band.
+    const double inv = 1.0 / factors.d[i];
+    a(i, i) += inv;
+    for (Index s = 0; s < columns.size(); ++s) {
+      const double vs = inv * values[s];
+      a(i, columns[s]) += vs;
+      for (Index t = 0; t < columns.size(); ++t) {
+        if (columns[t] <= columns[s]) {
+          a(columns[s], columns[t]) += vs * values[t];
+        }
+      }
+    }
+  }
 }
 
 PredecessorFn banded_predecessors(Index bandwidth) {

@@ -11,40 +11,29 @@
 // coefficients of the regression of variable i onto its *localized
 // predecessors* (variables earlier in the ordering and within the radius
 // of influence), and D is the diagonal of residual variances.  Sparsity of
-// L comes from localization: row i only has entries in columns pred(i).
+// L comes from localization: row i only has entries in columns pred(i),
+// and L is stored that way (sparse_lower.hpp).  B̂⁻¹ itself is never
+// formed densely: add_inverse_covariance accumulates it into band storage
+// (banded.hpp) for the analysis solve.
 #pragma once
 
 #include <functional>
 #include <span>
 #include <vector>
 
+#include "linalg/banded.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/sparse_lower.hpp"
 #include "support/arena.hpp"
 
 namespace senkf::linalg {
 
-/// Result of the modified Cholesky estimation.  `l` is unit
-/// lower-triangular (stored dense for the small local problems EnKF
-/// solves), `d` holds the residual variances.
+/// Result of the modified Cholesky estimation.
 struct ModifiedCholesky {
-  Matrix l;  ///< unit lower-triangular regression factor
-  Vector d;  ///< residual variances (diagonal of D)
+  SparseUnitLower l;  ///< unit lower-triangular regression factor
+  Vector d;           ///< residual variances (diagonal of D)
 
   Index dim() const { return d.size(); }
-
-  /// Dense B̂⁻¹ = Lᵀ D⁻¹ L.
-  Matrix inverse_covariance() const;
-
-  /// Allocation-free B̂⁻¹ into caller-provided `out` (n×n), using an n×n
-  /// work matrix `dinv_l` for D⁻¹L.  Bit-identical to
-  /// inverse_covariance() when the strides match the owning layout.
-  void inverse_covariance_into(Matrix& dinv_l, Matrix& out) const;
-
-  /// y = B̂⁻¹ x computed from the factors without forming B̂⁻¹.
-  Vector apply_inverse(const Vector& x) const;
-
-  /// Y = B̂⁻¹ X column-wise from the factors.
-  Matrix apply_inverse(const Matrix& x) const;
 };
 
 /// Predecessor oracle: given variable i, returns indices j < i that are
@@ -53,7 +42,8 @@ using PredecessorFn = std::function<std::vector<Index>(Index)>;
 
 /// Allocation-free predecessor oracle: implementations may place the
 /// returned span in `scratch` (it stays valid until the caller rewinds)
-/// or point at storage they own.
+/// or point at storage they own.  Asking twice for the same i must give
+/// the same set.
 class PredecessorOracle {
  public:
   virtual ~PredecessorOracle() = default;
@@ -73,15 +63,19 @@ ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
                                              const PredecessorFn& predecessors,
                                              double ridge = 1e-8);
 
-/// Allocation-free estimation into pre-shaped `out` (out.l n×n, out.d
-/// length n; both fully overwritten).  Per-row temporaries (gram, rhs,
-/// factor) come from `arena` under a mark/rewind bracket, so the arena's
-/// in-use bytes are unchanged on return.  Bit-identical to the allocating
-/// form above given the same predecessor sets.
-void estimate_inverse_covariance_into(const Matrix& anomalies,
-                                      PredecessorOracle& predecessors,
-                                      double ridge, support::Arena& arena,
-                                      ModifiedCholesky& out);
+/// Allocation-free estimation: the factor's storage (L's rows and d) is
+/// drawn from `arena` and lives until the caller rewinds past this call;
+/// the per-row temporaries (gram, rhs, factor) are released before
+/// return.  Same values as the allocating form given the same
+/// predecessor sets (which it runs on).
+ModifiedCholesky estimate_inverse_covariance_scratch(
+    const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
+    support::Arena& arena);
+
+/// a += B̂⁻¹ = Lᵀ D⁻¹ L = Σ_i d_i⁻¹ ℓ_i ℓ_iᵀ, with ℓ_i row i of L (unit
+/// diagonal included) — O(Σ_i |pred(i)|²), no dense intermediate.  The
+/// band must reach every entry: a.bandwidth() >= factors.l.bandwidth().
+void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a);
 
 /// Convenience predecessor oracle for a banded ordering: pred(i) are the
 /// up-to-`bandwidth` immediately preceding variables.

@@ -1,92 +1,57 @@
 #include "linalg/sparse_lower.hpp"
 
-#include <cmath>
-
-#include "linalg/kernels/dispatch.hpp"
+#include <algorithm>
+#include <utility>
 
 namespace senkf::linalg {
 
-SparseUnitLower SparseUnitLower::from_dense(const Matrix& l,
-                                            double drop_tol) {
-  SENKF_REQUIRE(l.square(), "SparseUnitLower: matrix must be square");
-  SENKF_REQUIRE(drop_tol >= 0.0, "SparseUnitLower: drop_tol must be >= 0");
-  const Index n = l.rows();
+SparseUnitLower SparseUnitLower::scratch(std::span<Index> row_start,
+                                         support::Arena& arena) {
+  SENKF_REQUIRE(!row_start.empty(),
+                "SparseUnitLower::scratch: need n+1 row offsets");
   SparseUnitLower out;
-  out.row_start_.reserve(n + 1);
-  out.row_start_.push_back(0);
-  for (Index i = 0; i < n; ++i) {
-    SENKF_REQUIRE(l(i, i) == 1.0,
-                  "SparseUnitLower: diagonal must be exactly 1");
-    for (Index j = 0; j < i; ++j) {
-      const double v = l(i, j);
-      if (std::abs(v) > drop_tol) {
-        out.column_.push_back(j);
-        out.values_.push_back(v);
-      }
-    }
-    out.row_start_.push_back(out.values_.size());
-  }
+  out.row_start_ = row_start;
+  out.columns_ = arena.allocate_span<Index>(row_start.back());
+  out.values_ = arena.allocate_span<double>(row_start.back());
   return out;
 }
 
-std::size_t SparseUnitLower::memory_bytes() const {
-  return row_start_.size() * sizeof(Index) + column_.size() * sizeof(Index) +
-         values_.size() * sizeof(double);
+SparseUnitLower::SparseUnitLower(const SparseUnitLower& other) {
+  // One index buffer holds the offsets followed by the columns.
+  owned_index_.assign(other.row_start_.begin(), other.row_start_.end());
+  owned_index_.insert(owned_index_.end(), other.columns_.begin(),
+                      other.columns_.end());
+  owned_values_.assign(other.values_.begin(), other.values_.end());
+  row_start_ = std::span(owned_index_).first(other.row_start_.size());
+  columns_ = std::span(owned_index_).subspan(other.row_start_.size());
+  values_ = owned_values_;
 }
 
-Vector SparseUnitLower::multiply(const Vector& x) const {
-  SENKF_REQUIRE(x.size() == dim(), "SparseUnitLower: length mismatch");
-  Vector y = x;  // implicit unit diagonal
-  // Each row is a sparse dot against x: the gather_dot kernel vectorizes
-  // the value loads and gathers the x entries by column index.
-  const auto& table = kernels::active_kernels();
+SparseUnitLower& SparseUnitLower::operator=(const SparseUnitLower& other) {
+  if (this != &other) *this = SparseUnitLower(other);
+  return *this;
+}
+
+SparseUnitLower::SparseUnitLower(SparseUnitLower&& other) noexcept {
+  *this = std::move(other);
+}
+
+SparseUnitLower& SparseUnitLower::operator=(SparseUnitLower&& other) noexcept {
+  if (this == &other) return *this;
+  row_start_ = std::exchange(other.row_start_, {});
+  columns_ = std::exchange(other.columns_, {});
+  values_ = std::exchange(other.values_, {});
+  owned_index_ = std::move(other.owned_index_);
+  owned_values_ = std::move(other.owned_values_);
+  return *this;
+}
+
+Index SparseUnitLower::bandwidth() const {
+  Index band = 0;
   for (Index i = 0; i < dim(); ++i) {
-    const Index begin = row_start_[i];
-    const Index nnz = row_start_[i + 1] - begin;
-    y[i] += table.gather_dot(nnz, values_.data() + begin,
-                             column_.data() + begin, x.data());
+    for (const Index j : columns(i)) band = std::max(band, i - j);
   }
-  return y;
-}
-
-Vector SparseUnitLower::multiply_transpose(const Vector& x) const {
-  SENKF_REQUIRE(x.size() == dim(), "SparseUnitLower: length mismatch");
-  Vector y = x;  // implicit unit diagonal
-  for (Index i = 0; i < dim(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    for (Index s = row_start_[i]; s < row_start_[i + 1]; ++s) {
-      y[column_[s]] += values_[s] * xi;
-    }
-  }
-  return y;
-}
-
-Matrix SparseUnitLower::to_dense() const {
-  Matrix out = Matrix::identity(dim());
-  for (Index i = 0; i < dim(); ++i) {
-    for (Index s = row_start_[i]; s < row_start_[i + 1]; ++s) {
-      out(i, column_[s]) = values_[s];
-    }
-  }
-  return out;
-}
-
-CompactModifiedCholesky CompactModifiedCholesky::from(
-    const ModifiedCholesky& factors, double drop_tol) {
-  return CompactModifiedCholesky{
-      SparseUnitLower::from_dense(factors.l, drop_tol), factors.d};
-}
-
-Vector CompactModifiedCholesky::apply_inverse(const Vector& x) const {
-  SENKF_REQUIRE(x.size() == dim(), "CompactModifiedCholesky: length mismatch");
-  Vector t = l.multiply(x);
-  for (Index i = 0; i < dim(); ++i) t[i] /= d[i];
-  return l.multiply_transpose(t);
-}
-
-std::size_t CompactModifiedCholesky::memory_bytes() const {
-  return l.memory_bytes() + d.size() * sizeof(double);
+  return band;
 }
 
 }  // namespace senkf::linalg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "linalg/kernels/dispatch.hpp"
 #include "linalg/ops.hpp"
 
 namespace senkf::obs {
@@ -19,31 +20,97 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
   h_ = linalg::Matrix(m, n, 0.0);
   r_diag_ = linalg::Vector(m, 0.0);
 
+  rinv_ = linalg::Vector(m);
+  local_values_ = linalg::Vector(m);
+  h_start_.reserve(m + 1);
+  h_start_.push_back(0);
+
   // Patch-local row-major indexing must match grid::Patch::local_index.
   const Index width = rect.x.size();
+  std::vector<Index> support;
   for (Index row = 0; row < m; ++row) {
     const ObsComponent& comp = comps[selected_[row]];
+    support.clear();
     for (const auto& sp : comp.support) {
       const Index local = (sp.point.y - rect.y.begin) * width +
                           (sp.point.x - rect.x.begin);
       h_(row, local) += sp.weight;
+      support.push_back(local);
+    }
+    // The row-sparse copy: distinct support points ascending, weights
+    // read back from the dense row (repeated points arrive merged), zero
+    // weights dropped.
+    std::sort(support.begin(), support.end());
+    support.erase(std::unique(support.begin(), support.end()), support.end());
+    for (const Index j : support) {
+      if (h_(row, j) == 0.0) continue;
+      h_columns_.push_back(j);
+      h_weights_.push_back(h_(row, j));
+    }
+    h_start_.push_back(h_columns_.size());
+    const std::span<const Index> row_columns = h_columns(row);
+    if (!row_columns.empty()) {
+      h_bandwidth_ =
+          std::max(h_bandwidth_, row_columns.back() - row_columns.front());
     }
     r_diag_[row] = comp.error_std * comp.error_std;
-  }
-
-  // Precompute the R⁻¹-weighted products the analysis needs on every
-  // patch, with the exact kernel sequence the analysis used to run
-  // inline (reciprocal loop, copy + row_scale, Aᵀ·B product) so cached
-  // and freshly-computed analyses agree bit-for-bit.
-  rinv_ = linalg::Vector(m);
-  local_values_ = linalg::Vector(m);
-  for (Index row = 0; row < m; ++row) {
     rinv_[row] = 1.0 / r_diag_[row];
     local_values_[row] = observations.values()[selected_[row]];
   }
-  rinv_h_ = h_;
-  linalg::row_scale(rinv_, rinv_h_);
-  if (m > 0) ht_rinv_h_ = linalg::multiply_at_b(h_, rinv_h_);
+}
+
+void LocalObservations::apply_h_into(const linalg::Matrix& x,
+                                     linalg::Matrix& out) const {
+  SENKF_REQUIRE(x.rows() == rect_.count() && out.rows() == size() &&
+                    out.cols() == x.cols(),
+                "LocalObservations::apply_h_into: shape mismatch");
+  const auto& table = linalg::kernels::active_kernels();
+  for (Index r = 0; r < size(); ++r) {
+    auto dst = out.row(r);
+    std::fill(dst.begin(), dst.end(), 0.0);
+    const auto columns = h_columns(r);
+    const auto weights = h_weights(r);
+    for (Index s = 0; s < columns.size(); ++s) {
+      table.axpy(x.cols(), weights[s], x.row(columns[s]).data(), dst.data());
+    }
+  }
+}
+
+void LocalObservations::apply_ht_into(const linalg::Matrix& d,
+                                      linalg::Matrix& out) const {
+  SENKF_REQUIRE(d.rows() == size() && out.rows() == rect_.count() &&
+                    out.cols() == d.cols(),
+                "LocalObservations::apply_ht_into: shape mismatch");
+  const auto& table = linalg::kernels::active_kernels();
+  for (Index i = 0; i < out.rows(); ++i) {
+    auto dst = out.row(i);
+    std::fill(dst.begin(), dst.end(), 0.0);
+  }
+  for (Index r = 0; r < size(); ++r) {
+    const auto columns = h_columns(r);
+    const auto weights = h_weights(r);
+    for (Index s = 0; s < columns.size(); ++s) {
+      table.axpy(d.cols(), weights[s], d.row(r).data(),
+                 out.row(columns[s]).data());
+    }
+  }
+}
+
+void LocalObservations::add_ht_rinv_h(linalg::BandMatrix& a) const {
+  SENKF_REQUIRE(a.dim() == rect_.count() && a.bandwidth() >= h_bandwidth_,
+                "LocalObservations::add_ht_rinv_h: band too narrow");
+  for (Index r = 0; r < size(); ++r) {
+    const auto columns = h_columns(r);
+    const auto weights = h_weights(r);
+    // Lower triangle of the row's outer product: columns ascend, so
+    // columns[s] >= columns[t] for t <= s.
+    for (Index s = 0; s < columns.size(); ++s) {
+      const double ws = weights[s] * rinv_[r];
+      for (Index t = 0; t <= s; ++t) {
+        a(columns[s], columns[t]) += ws * weights[t];
+      }
+    }
+  }
 }
 
 linalg::Matrix LocalObservations::select_rows(

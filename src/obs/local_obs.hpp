@@ -2,14 +2,22 @@
 //
 // For a sub-domain (or layer) expansion D̄, the local pieces are:
 //   * the indices of the observed components entirely supported by D̄,
-//   * H_{[i,j]} — an m̄×n̄ dense operator acting on the expansion patch
-//     (row-major patch-local indexing),
-//   * the diagonal of R_{[i,j]},
+//   * H_{[i,j]} — an m̄×n̄ operator acting on the expansion patch
+//     (row-major patch-local indexing), held both dense (the
+//     deterministic transform's GEMMs) and row-sparse (each row's
+//     support points: the stochastic analysis applies H, Hᵀ and adds
+//     HᵀR⁻¹H on the band through it),
+//   * the diagonal of R_{[i,j]} and its reciprocals,
 //   * the corresponding rows of the global Yˢ.
+// Nothing here is n̄×n̄: the observation term of the stochastic system is
+// assembled per patch straight into band storage, at O(m̄·s²) for
+// supports of s points.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "linalg/banded.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/observation.hpp"
 
@@ -37,17 +45,30 @@ class LocalObservations {
   /// precomputed so the analysis never re-derives it per patch.
   const linalg::Vector& r_inverse() const { return rinv_; }
 
-  /// R⁻¹ H̄ (size() × rect().count()), precomputed.
-  const linalg::Matrix& rinv_h() const { return rinv_h_; }
-
-  /// H̄ᵀ R⁻¹ H̄ (rect().count() × rect().count()) — the observation term
-  /// of eq. (6)'s system matrix.  Computed once per localization instead
-  /// of per analysed patch; only available when !empty() (the analysis
-  /// skips or zero-fills the term itself in the no-observation case).
-  const linalg::Matrix& ht_rinv_h() const {
-    SENKF_REQUIRE(!empty(), "LocalObservations::ht_rinv_h: no observations");
-    return ht_rinv_h_;
+  /// Support of row r of H̄: the expansion-local indices of its non-zero
+  /// weights (ascending) and the weights.
+  std::span<const Index> h_columns(Index r) const {
+    return std::span(h_columns_).subspan(h_start_[r],
+                                         h_start_[r + 1] - h_start_[r]);
   }
+  std::span<const double> h_weights(Index r) const {
+    return std::span(h_weights_).subspan(h_start_[r],
+                                         h_start_[r + 1] - h_start_[r]);
+  }
+
+  /// Widest row support: the largest j − i over two support points of one
+  /// row — how far HᵀR⁻¹H reaches from the diagonal.
+  Index h_bandwidth() const { return h_bandwidth_; }
+
+  /// out = H̄·x for x with rect().count() rows (out: size() rows, same
+  /// columns), through the row supports.
+  void apply_h_into(const linalg::Matrix& x, linalg::Matrix& out) const;
+
+  /// out = H̄ᵀ·d for d with size() rows (out: rect().count() rows).
+  void apply_ht_into(const linalg::Matrix& d, linalg::Matrix& out) const;
+
+  /// a += H̄ᵀR⁻¹H̄ on the band (a.bandwidth() >= h_bandwidth()).
+  void add_ht_rinv_h(linalg::BandMatrix& a) const;
 
   /// The measured values of the selected components (length size()).
   const linalg::Vector& local_values() const { return local_values_; }
@@ -68,8 +89,10 @@ class LocalObservations {
   linalg::Matrix h_;
   linalg::Vector r_diag_;
   linalg::Vector rinv_;
-  linalg::Matrix rinv_h_;
-  linalg::Matrix ht_rinv_h_;
+  std::vector<Index> h_start_;  // size()+1 offsets into the two below
+  std::vector<Index> h_columns_;
+  std::vector<double> h_weights_;
+  Index h_bandwidth_ = 0;
   linalg::Vector local_values_;
 };
 

@@ -1,8 +1,11 @@
 // Process-wide cache of localized observation products (DESIGN.md §15).
 //
 // Localizing an ObservationSet to an expansion rectangle — selecting the
-// supported components, building the dense H̄ and the R⁻¹-weighted
-// products — depends only on (observation set, rect).  Sub-domains are
+// supported components, building H̄ (dense and row-sparse) and the R
+// diagonal with its reciprocals — depends only on (observation set,
+// rect).  No product with H̄ is cached: the stochastic analysis forms
+// its HᵀR⁻¹H term per patch on the band, which is cheaper than caching
+// an n̄×n̄ matrix per rect.  Sub-domains are
 // re-analysed with the same rects every cycle, and under the service
 // plane the same network is shared across jobs, so the cache turns the
 // per-patch localization cost into a shared-lock lookup after the first

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../linalg/dense_factor.hpp"
 #include "enkf/ensemble_store.hpp"
 #include "grid/synthetic.hpp"
 #include "linalg/covariance.hpp"
@@ -118,7 +119,7 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
       linalg::ensemble_anomalies(xb),
       expansion_predecessors(rect, opt.halo), opt.ridge);
   const obs::LocalObservations local(sc.observations, rect);
-  linalg::Matrix system = binv.inverse_covariance();
+  linalg::Matrix system = linalg::testing::dense_inverse_covariance(binv);
   linalg::Matrix rinv_h = local.h();
   for (Index r = 0; r < local.size(); ++r) {
     for (Index cidx = 0; cidx < rinv_h.cols(); ++cidx) {
@@ -194,6 +195,30 @@ TEST(LocalAnalysis, ValidatesInputs) {
   // Wrong Ys width.
   const linalg::Matrix bad_ys(sc.observations.size(), 3);
   EXPECT_THROW(analyse(views, rect, bad_ys), senkf::InvalidArgument);
+}
+
+TEST(LocalAnalysis, RejectsBadOptionsOnRectsWithoutObservations) {
+  // The options are validated before the no-observation skip, so every
+  // engine fails on a bad value whichever rects it happens to analyse.
+  const Scenario sparse(2, 8, 1);
+  grid::Rect rect{{0, 4}, {0, 4}};
+  const auto& comp = sparse.observations.components()[0];
+  if (comp.supported_by(rect)) rect = grid::Rect{{8, 12}, {6, 10}};
+  ASSERT_FALSE(comp.supported_by(rect));
+  LocalAnalysisWorkspace ws;
+  const auto analyse = [&](const AnalysisOptions& opt) {
+    return local_analysis_scratch(sparse.views(), rect, rect,
+                                  sparse.observations, sparse.ys, opt, ws);
+  };
+  EXPECT_NO_THROW(analyse(default_options()));
+  AnalysisOptions deflating = default_options();
+  deflating.inflation = 0.5;
+  EXPECT_THROW(analyse(deflating), senkf::InvalidArgument);
+  AnalysisOptions negative_ridge = default_options();
+  negative_ridge.ridge = -1.0;
+  EXPECT_THROW(analyse(negative_ridge), senkf::InvalidArgument);
+  negative_ridge.kind = AnalysisKind::kDeterministicTransform;
+  EXPECT_THROW(analyse(negative_ridge), senkf::InvalidArgument);
 }
 
 TEST(ExpansionPredecessors, RespectsHaloWindow) {

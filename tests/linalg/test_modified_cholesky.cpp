@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "dense_factor.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
@@ -12,6 +14,9 @@
 
 namespace senkf::linalg {
 namespace {
+
+using testing::dense_inverse_covariance;
+using testing::dense_l;
 
 // Ensemble whose rows follow an AR(1)-like chain so that banded
 // predecessors are the statistically correct neighbourhood.
@@ -40,7 +45,7 @@ TEST(ModifiedCholesky, FullPredecessorsMatchExactSampleInverse) {
   const Matrix u = ensemble_anomalies(ensemble);
   const auto mc = estimate_inverse_covariance(u, banded_predecessors(n), 0.0);
   const Matrix b = sample_covariance(ensemble);
-  EXPECT_LT(max_abs_diff(mc.inverse_covariance(), inverse(b)), 1e-8);
+  EXPECT_LT(max_abs_diff(dense_inverse_covariance(mc), inverse(b)), 1e-8);
 }
 
 TEST(ModifiedCholesky, LIsUnitLowerTriangular) {
@@ -48,9 +53,10 @@ TEST(ModifiedCholesky, LIsUnitLowerTriangular) {
   const Matrix ensemble = ar1_ensemble(10, 30, 0.7, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(3));
+  const Matrix l = dense_l(mc.l);
   for (Index i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(mc.l(i, i), 1.0);
-    for (Index j = i + 1; j < 10; ++j) EXPECT_DOUBLE_EQ(mc.l(i, j), 0.0);
+    EXPECT_DOUBLE_EQ(l(i, i), 1.0);
+    for (Index j = i + 1; j < 10; ++j) EXPECT_DOUBLE_EQ(l(i, j), 0.0);
   }
 }
 
@@ -60,13 +66,17 @@ TEST(ModifiedCholesky, BandedSparsityPattern) {
   const Matrix ensemble = ar1_ensemble(12, 25, 0.6, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(band));
+  const Matrix l = dense_l(mc.l);
   for (Index i = 0; i < 12; ++i) {
     for (Index j = 0; j < i; ++j) {
       if (i - j > band) {
-        EXPECT_DOUBLE_EQ(mc.l(i, j), 0.0) << "i=" << i << " j=" << j;
+        EXPECT_DOUBLE_EQ(l(i, j), 0.0) << "i=" << i << " j=" << j;
       }
     }
   }
+  // Stored compactly: exactly the band's entries, and no wider.
+  EXPECT_EQ(mc.l.nonzeros(), 1u + (12u - band) * band);
+  EXPECT_EQ(mc.l.bandwidth(), band);
 }
 
 TEST(ModifiedCholesky, InverseCovarianceIsSpd) {
@@ -74,7 +84,7 @@ TEST(ModifiedCholesky, InverseCovarianceIsSpd) {
   const Matrix ensemble = ar1_ensemble(15, 10, 0.8, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(4), 1e-6);
-  const Matrix binv = mc.inverse_covariance();
+  const Matrix binv = dense_inverse_covariance(mc);
   EXPECT_TRUE(is_symmetric(binv, 1e-10));
   EXPECT_NO_THROW(CholeskyFactor{binv});  // SPD iff Cholesky succeeds
 }
@@ -85,23 +95,39 @@ TEST(ModifiedCholesky, WellDefinedWhenNeighbourhoodExceedsEnsemble) {
   const Matrix ensemble = ar1_ensemble(40, 8, 0.9, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(20), 1e-4);
-  EXPECT_NO_THROW(CholeskyFactor{mc.inverse_covariance()});
+  EXPECT_NO_THROW(CholeskyFactor{dense_inverse_covariance(mc)});
 }
 
-TEST(ModifiedCholesky, ApplyInverseMatchesDense) {
+TEST(ModifiedCholesky, BandAssemblyMatchesDenseFormula) {
+  // add_inverse_covariance accumulates Σ d_i⁻¹ ℓ_i ℓ_iᵀ on the band; it
+  // must equal the dense Lᵀ D⁻¹ L on the band and leave nothing outside
+  // it, for a band exactly as wide as L's and for a wider one.
   Rng rng(6);
-  const Matrix ensemble = ar1_ensemble(9, 20, 0.5, rng);
+  const Index n = 14;
+  const Matrix ensemble = ar1_ensemble(n, 20, 0.5, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(3));
-  const Matrix dense = mc.inverse_covariance();
-  Vector x(9);
-  for (auto& v : x) v = rng.normal();
-  EXPECT_LT(max_abs_diff(mc.apply_inverse(x), multiply(dense, x)), 1e-11);
-  Matrix xs(9, 4);
-  for (Index i = 0; i < 9; ++i) {
-    for (Index j = 0; j < 4; ++j) xs(i, j) = rng.normal();
+  const Matrix dense = dense_inverse_covariance(mc);
+  for (const Index band : {Index{3}, Index{7}}) {
+    std::vector<double> storage(BandMatrix::storage_size(n, band), 0.0);
+    BandMatrix a(storage, n, band);
+    add_inverse_covariance(mc, a);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j <= i; ++j) {
+        const double want = dense(i, j);
+        if (i - j > band) {
+          EXPECT_EQ(want, 0.0);
+          continue;
+        }
+        EXPECT_NEAR(a(i, j), want, 1e-12 * (1.0 + std::abs(want)))
+            << "i=" << i << " j=" << j;
+      }
+    }
   }
-  EXPECT_LT(max_abs_diff(mc.apply_inverse(xs), multiply(dense, xs)), 1e-11);
+  // A band narrower than L's is refused rather than silently truncated.
+  std::vector<double> narrow(BandMatrix::storage_size(n, 2), 0.0);
+  BandMatrix too_narrow(narrow, n, 2);
+  EXPECT_THROW(add_inverse_covariance(mc, too_narrow), InvalidArgument);
 }
 
 TEST(ModifiedCholesky, CapturesAr1Structure) {
@@ -113,7 +139,7 @@ TEST(ModifiedCholesky, CapturesAr1Structure) {
   const Matrix ensemble = ar1_ensemble(8, 4000, phi, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(1), 0.0);
-  const Matrix binv = mc.inverse_covariance();
+  const Matrix binv = dense_inverse_covariance(mc);
   for (Index i = 1; i < 8; ++i) {
     EXPECT_LT(binv(i, i - 1), 0.0);
     EXPECT_NEAR(binv(i, i - 1), -phi / (1.0 - phi * phi), 0.15);

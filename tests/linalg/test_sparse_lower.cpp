@@ -2,101 +2,122 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "linalg/covariance.hpp"
-#include "linalg/ops.hpp"
+#include "linalg/modified_cholesky.hpp"
 #include "support/rng.hpp"
 
 namespace senkf::linalg {
 namespace {
 
-Matrix banded_unit_lower(Index n, Index band, Rng& rng) {
-  Matrix l = Matrix::identity(n);
+Matrix random_anomalies(Index n, Index members, Rng& rng) {
+  Matrix ensemble(n, members);
   for (Index i = 0; i < n; ++i) {
-    const Index first = i > band ? i - band : 0;
-    for (Index j = first; j < i; ++j) l(i, j) = rng.normal();
+    for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
   }
-  return l;
+  return ensemble_anomalies(ensemble);
 }
 
-TEST(SparseUnitLower, RoundTripsDense) {
+// Hands out the banded predecessor sets through the arena interface.
+class BandedOracle final : public PredecessorOracle {
+ public:
+  explicit BandedOracle(Index band) : fn_(banded_predecessors(band)) {}
+  std::span<const Index> predecessors(Index i,
+                                      support::Arena& scratch) override {
+    const std::vector<Index> pred = fn_(i);
+    auto out = scratch.allocate_span<Index>(pred.size());
+    std::copy(pred.begin(), pred.end(), out.begin());
+    return out;
+  }
+
+ private:
+  PredecessorFn fn_;
+};
+
+TEST(SparseUnitLower, ScratchLayoutFollowsRowOffsets) {
+  support::Arena arena;
+  auto row_start = arena.allocate_span<Index>(4);
+  row_start[0] = 0;
+  row_start[1] = 0;
+  row_start[2] = 1;
+  row_start[3] = 3;
+  SparseUnitLower l = SparseUnitLower::scratch(row_start, arena);
+  EXPECT_EQ(l.dim(), 3u);
+  EXPECT_EQ(l.nonzeros(), 3u);
+  EXPECT_TRUE(l.columns(0).empty());
+  l.columns(1)[0] = 0;
+  l.columns(2)[0] = 0;
+  l.columns(2)[1] = 1;
+  EXPECT_EQ(l.columns(2).size(), 2u);
+  EXPECT_EQ(l.bandwidth(), 2u);  // row 2 reaches column 0
+  EXPECT_EQ(SparseUnitLower().bandwidth(), 0u);
+}
+
+TEST(SparseUnitLower, EstimatorStoresOnlyThePredecessors) {
   Rng rng(1);
-  const Matrix l = banded_unit_lower(12, 3, rng);
-  const auto sparse = SparseUnitLower::from_dense(l);
-  EXPECT_EQ(sparse.to_dense(), l);
-  EXPECT_EQ(sparse.dim(), 12u);
+  const Index n = 200, band = 5;
+  const auto factors = estimate_inverse_covariance(
+      random_anomalies(n, 10, rng), banded_predecessors(band), 1e-6);
+  EXPECT_EQ(factors.l.dim(), n);
+  EXPECT_EQ(factors.l.bandwidth(), band);
+  const auto pred = banded_predecessors(band);
+  for (Index i = 0; i < n; ++i) {
+    const auto columns = factors.l.columns(i);
+    EXPECT_EQ(std::vector<Index>(columns.begin(), columns.end()), pred(i));
+  }
+  // The point of the compact form: O(n·band) entries, not n².
+  EXPECT_EQ(factors.l.nonzeros(), band * (band - 1) / 2 + (n - band) * band);
 }
 
-TEST(SparseUnitLower, MultiplyMatchesDense) {
+TEST(SparseUnitLower, CopyOutlivesTheArena) {
   Rng rng(2);
-  const Matrix l = banded_unit_lower(20, 4, rng);
-  const auto sparse = SparseUnitLower::from_dense(l);
-  Vector x(20);
-  for (auto& v : x) v = rng.normal();
-  EXPECT_LT(max_abs_diff(sparse.multiply(x), multiply(l, x)), 1e-13);
-  EXPECT_LT(max_abs_diff(sparse.multiply_transpose(x), multiply_at(l, x)),
-            1e-13);
+  const Matrix u = random_anomalies(30, 8, rng);
+  BandedOracle oracle(3);
+  support::Arena arena;
+  const ModifiedCholesky scratch =
+      estimate_inverse_covariance_scratch(u, oracle, 1e-6, arena);
+  const ModifiedCholesky copy = scratch;
+  const std::vector<double> row9(scratch.l.values(9).begin(),
+                                 scratch.l.values(9).end());
+  arena.reset();
+  // Reuse the arena so the scratch factor's bytes are overwritten.
+  auto junk = arena.allocate_span<double>(4096);
+  std::fill(junk.begin(), junk.end(), -7.0);
+  EXPECT_EQ(std::vector<double>(copy.l.values(9).begin(),
+                                copy.l.values(9).end()),
+            row9);
+  EXPECT_EQ(copy.l.columns(9)[0], 6u);
+  EXPECT_EQ(copy.d.size(), 30u);
+  EXPECT_FALSE(copy.d.is_scratch());
+
+  // A move carries the owned storage and leaves the source empty.
+  SparseUnitLower source = copy.l;
+  const SparseUnitLower moved = std::move(source);
+  EXPECT_EQ(source.dim(), 0u);
+  EXPECT_EQ(source.nonzeros(), 0u);
+  EXPECT_EQ(moved.values(9)[0], row9[0]);
 }
 
-TEST(SparseUnitLower, NonzeroCountMatchesBand) {
+TEST(SparseUnitLower, ScratchEstimateMatchesOwningEstimate) {
+  // Same predecessor sets, same per-row kernels: bitwise the same factor.
   Rng rng(3);
-  const Index n = 30, band = 2;
-  const auto sparse =
-      SparseUnitLower::from_dense(banded_unit_lower(n, band, rng));
-  // Rows 0,1 have 0,1 entries; the rest `band`.
-  EXPECT_EQ(sparse.nonzeros(), 0u + 1u + (n - band) * band +
-                                   (band > 2 ? 0u : 0u));
-}
-
-TEST(SparseUnitLower, DropToleranceSparsifies) {
-  Matrix l = Matrix::identity(4);
-  l(1, 0) = 1e-14;
-  l(2, 0) = 0.5;
-  l(3, 2) = -1e-13;
-  const auto exact = SparseUnitLower::from_dense(l, 0.0);
-  const auto dropped = SparseUnitLower::from_dense(l, 1e-12);
-  EXPECT_EQ(exact.nonzeros(), 3u);
-  EXPECT_EQ(dropped.nonzeros(), 1u);
-}
-
-TEST(SparseUnitLower, RejectsBadDiagonal) {
-  Matrix l = Matrix::identity(3);
-  l(1, 1) = 2.0;
-  EXPECT_THROW(SparseUnitLower::from_dense(l), InvalidArgument);
-  EXPECT_THROW(SparseUnitLower::from_dense(Matrix(2, 3)), InvalidArgument);
-}
-
-TEST(CompactModifiedCholesky, ApplyMatchesDenseFactors) {
-  // Estimate B̂⁻¹ on a banded problem, compress, and compare applications.
-  Rng rng(4);
-  const Index n = 40, members = 12;
-  Matrix ensemble(n, members);
-  for (Index i = 0; i < n; ++i) {
-    for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
+  const Matrix u = random_anomalies(40, 12, rng);
+  const auto owning = estimate_inverse_covariance(u, banded_predecessors(4),
+                                                  1e-6);
+  BandedOracle oracle(4);
+  support::Arena arena;
+  const ModifiedCholesky scratch =
+      estimate_inverse_covariance_scratch(u, oracle, 1e-6, arena);
+  ASSERT_EQ(scratch.l.nonzeros(), owning.l.nonzeros());
+  for (Index i = 0; i < 40; ++i) {
+    EXPECT_EQ(scratch.d[i], owning.d[i]);
+    for (Index s = 0; s < owning.l.values(i).size(); ++s) {
+      EXPECT_EQ(scratch.l.values(i)[s], owning.l.values(i)[s]);
+    }
   }
-  const auto factors = estimate_inverse_covariance(
-      ensemble_anomalies(ensemble), banded_predecessors(4), 1e-6);
-  const auto compact = CompactModifiedCholesky::from(factors);
-
-  Vector x(n);
-  for (auto& v : x) v = rng.normal();
-  EXPECT_LT(max_abs_diff(compact.apply_inverse(x),
-                         factors.apply_inverse(x)),
-            1e-11);
-}
-
-TEST(CompactModifiedCholesky, SavesMemoryOnLocalizedProblems) {
-  Rng rng(5);
-  const Index n = 200, members = 10;
-  Matrix ensemble(n, members);
-  for (Index i = 0; i < n; ++i) {
-    for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
-  }
-  const auto factors = estimate_inverse_covariance(
-      ensemble_anomalies(ensemble), banded_predecessors(5), 1e-6);
-  const auto compact = CompactModifiedCholesky::from(factors);
-  const std::size_t dense_bytes = n * n * sizeof(double);
-  EXPECT_LT(compact.memory_bytes(), dense_bytes / 10);
-  EXPECT_EQ(compact.dim(), n);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "grid/synthetic.hpp"
 #include "linalg/ops.hpp"
 #include "obs/perturbed.hpp"
@@ -123,6 +127,88 @@ TEST(LocalObservations, BilinearSupportRespectsRectBoundary) {
   EXPECT_TRUE(cut.empty());
   const LocalObservations keep(set, grid::Rect{{0, 6}, {0, 10}});
   EXPECT_EQ(keep.size(), 1u);
+}
+
+TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
+  // The stochastic analysis applies H̄, H̄ᵀ and adds H̄ᵀR⁻¹H̄ through the
+  // row supports; each must agree with the dense H̄.  Bilinear stations
+  // give 4-point rows one rect width apart, plus one point station placed
+  // twice to check repeated support points merge.
+  const grid::LatLonGrid g(20, 12);
+  senkf::Rng truth_rng(8);
+  const grid::Field truth = grid::synthetic_field(g, truth_rng);
+  senkf::Rng rng(9);
+  NetworkOptions opt;
+  opt.station_count = 50;
+  opt.bilinear = true;
+  const ObservationSet bilinear = random_network(g, truth, rng, opt);
+  std::vector<ObsComponent> comps = bilinear.components();
+  ObsComponent doubled;
+  doubled.support = {{{3, 2}, 0.5}, {{3, 2}, 0.5}};
+  doubled.error_std = 0.2;
+  comps.push_back(doubled);
+  std::vector<double> values = bilinear.values();
+  values.push_back(1.0);
+  const ObservationSet set(g, comps, values);
+
+  const grid::Rect rect{{1, 17}, {1, 11}};
+  const LocalObservations local(set, rect);
+  ASSERT_GT(local.size(), 2u);
+  const linalg::Matrix& h = local.h();
+  const Index n = rect.count();
+
+  Index widest = 0;
+  for (Index r = 0; r < local.size(); ++r) {
+    const auto columns = local.h_columns(r);
+    ASSERT_FALSE(columns.empty());
+    widest = std::max(widest, columns.back() - columns.front());
+    Index nonzeros = 0;
+    for (Index j = 0; j < n; ++j) nonzeros += h(r, j) != 0.0 ? 1 : 0;
+    EXPECT_EQ(columns.size(), nonzeros);
+    for (Index s = 0; s < columns.size(); ++s) {
+      EXPECT_EQ(local.h_weights(r)[s], h(r, columns[s]));
+    }
+  }
+  EXPECT_EQ(local.h_bandwidth(), widest);
+  EXPECT_EQ(local.h_bandwidth(), rect.x.size() + 1);  // a bilinear row
+
+  linalg::Matrix x(n, 3);
+  for (Index i = 0; i < n; ++i) {
+    for (Index k = 0; k < 3; ++k) x(i, k) = rng.normal();
+  }
+  linalg::Matrix hx(local.size(), 3);
+  local.apply_h_into(x, hx);
+  EXPECT_LT(linalg::max_abs_diff(hx, linalg::multiply(h, x)), 1e-13);
+
+  linalg::Matrix d(local.size(), 3);
+  for (Index r = 0; r < local.size(); ++r) {
+    for (Index k = 0; k < 3; ++k) d(r, k) = rng.normal();
+  }
+  linalg::Matrix htd(n, 3);
+  local.apply_ht_into(d, htd);
+  EXPECT_LT(linalg::max_abs_diff(htd, linalg::multiply_at_b(h, d)), 1e-13);
+
+  linalg::Matrix rinv_h = h;
+  linalg::row_scale(local.r_inverse(), rinv_h);
+  const linalg::Matrix dense = linalg::multiply_at_b(h, rinv_h);
+  std::vector<double> storage(
+      linalg::BandMatrix::storage_size(n, local.h_bandwidth()), 0.0);
+  linalg::BandMatrix band(storage, n, local.h_bandwidth());
+  local.add_ht_rinv_h(band);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      const double want = dense(i, j);
+      if (i - j > local.h_bandwidth()) {
+        EXPECT_EQ(want, 0.0);
+      } else {
+        EXPECT_NEAR(band(i, j), want, 1e-12 * (1.0 + std::abs(want)));
+      }
+    }
+  }
+  // A band narrower than the supports is refused.
+  std::vector<double> narrow(linalg::BandMatrix::storage_size(n, 2), 0.0);
+  linalg::BandMatrix too_narrow(narrow, n, 2);
+  EXPECT_THROW(local.add_ht_rinv_h(too_narrow), senkf::InvalidArgument);
 }
 
 }  // namespace
