@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -14,6 +15,7 @@
 #include "linalg/kernels/simdvec.hpp"
 #include "linalg/modified_cholesky.hpp"
 #include "linalg/ops.hpp"
+#include "support/arena.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -247,43 +249,33 @@ void BM_InnovationScalar(benchmark::State& state) {
 BENCHMARK(BM_Innovation)->Args({512, 40})->Args({2048, 120});
 BENCHMARK(BM_InnovationScalar)->Args({512, 40})->Args({2048, 120});
 
-// Sparse-lower column sweep of the modified-Cholesky estimator.
-void bench_gather_dot(benchmark::State& state, const KernelTable& table) {
-  const Index nnz = static_cast<Index>(state.range(0));
-  const Index xlen = 4 * nnz + 1;
-  Rng rng(9);
-  std::vector<double> values(nnz), x(xlen);
-  std::vector<Index> cols(nnz);
-  for (auto& v : values) v = rng.normal();
-  for (auto& v : x) v = rng.normal();
-  for (Index i = 0; i < nnz; ++i) {
-    cols[i] = static_cast<Index>(std::abs(rng.normal()) * 1e6) % xlen;
+// Banded predecessors: the up-to-`band` immediately preceding variables.
+class BandedOracle final : public linalg::PredecessorOracle {
+ public:
+  explicit BandedOracle(Index band) : band_(band) {}
+  std::span<const Index> predecessors(Index i,
+                                      support::Arena& scratch) override {
+    const Index first = i > band_ ? i - band_ : 0;
+    auto out = scratch.allocate_span<Index>(i - first);
+    for (Index j = first; j < i; ++j) out[j - first] = j;
+    return out;
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.gather_dot(nnz, values.data(), cols.data(), x.data()));
-  }
-  report_gflops(state, 2.0 * static_cast<double>(nnz));
-  state.SetLabel(table.name);
-}
 
-void BM_GatherDot(benchmark::State& state) {
-  bench_gather_dot(state, linalg::kernels::active_kernels());
-}
-void BM_GatherDotScalar(benchmark::State& state) {
-  bench_gather_dot(state, linalg::kernels::scalar_kernels());
-}
-BENCHMARK(BM_GatherDot)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_GatherDotScalar)->Arg(1024)->Arg(16384);
+ private:
+  Index band_;
+};
 
 void BM_ModifiedCholesky(benchmark::State& state) {
   const Index n = static_cast<Index>(state.range(0));
   const Index band = static_cast<Index>(state.range(1));
   const Matrix ensemble = random_matrix(n, 20, 8);
   const Matrix u = linalg::ensemble_anomalies(ensemble);
+  BandedOracle oracle(band);
+  support::Arena arena;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::estimate_inverse_covariance(
-        u, linalg::banded_predecessors(band), 1e-6));
+    benchmark::DoNotOptimize(
+        linalg::estimate_inverse_covariance_scratch(u, oracle, 1e-6, arena));
+    arena.reset();
   }
 }
 BENCHMARK(BM_ModifiedCholesky)->Args({128, 8})->Args({256, 8})

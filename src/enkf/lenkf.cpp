@@ -7,6 +7,7 @@
 #include "telemetry/liveops/liveops.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/phase.hpp"
+#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::enkf {
@@ -51,8 +52,10 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
   std::vector<grid::Field> result;
   std::mutex result_mutex;
 
-  // Liveops arming (no-op unless SENKF_HTTP / SENKF_PROFILE /
-  // SENKF_WATCHDOG are set); samples taken in here attribute to lenkf.
+  // Same continuous-telemetry arming as senkf()/penkf(): no-ops unless
+  // SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG set;
+  // profiler samples taken in here attribute to lenkf.
+  telemetry::ensure_sampler_started();
   telemetry::liveops::ensure_liveops_started();
   const telemetry::liveops::ProfileContextScope profile_ctx("lenkf");
 

@@ -14,28 +14,6 @@
 
 namespace senkf::enkf {
 
-linalg::PredecessorFn expansion_predecessors(grid::Rect expansion,
-                                             grid::Halo halo) {
-  const Index width = expansion.x.size();
-  return [expansion, halo, width](linalg::Index i) {
-    std::vector<linalg::Index> pred;
-    const Index yi = i / width;
-    const Index xi = i % width;
-    // Earlier rows within η, and earlier columns of the same row within ξ.
-    const Index y_first = yi > halo.eta ? yi - halo.eta : 0;
-    for (Index y = y_first; y <= yi; ++y) {
-      const Index x_first = xi > halo.xi ? xi - halo.xi : 0;
-      const Index x_last =
-          std::min(expansion.x.size() - 1, xi + halo.xi);
-      for (Index x = x_first; x <= x_last; ++x) {
-        const Index j = y * width + x;
-        if (j < i) pred.push_back(j);
-      }
-    }
-    return pred;
-  };
-}
-
 std::span<const linalg::Index> ExpansionPredecessorOracle::predecessors(
     linalg::Index i, support::Arena& scratch) {
   const Index width = expansion_.x.size();
@@ -193,9 +171,9 @@ linalg::Matrix deterministic_transform(const LoadedEnsemble& ens,
 
   // Observation-space anomalies Ỹ = H U and innovation d = y − H x̄.
   linalg::Matrix y_tilde = ws.matrix(m_bar, n_members);
-  linalg::multiply_into(local.h(), ens.anomalies, y_tilde);
+  local.apply_h_into(ens.anomalies, y_tilde);
   linalg::Vector hx_mean = ws.vector(m_bar);
-  linalg::multiply_into(local.h(), ens.mean, hx_mean);
+  local.apply_h_into(ens.mean, hx_mean);
   linalg::Vector innovation = ws.vector(m_bar);
   for (Index r = 0; r < m_bar; ++r) {
     innovation[r] = local.local_values()[r] - hx_mean[r];

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "enkf/analysis_workspace.hpp"
 #include "grid/decomposition.hpp"
@@ -118,13 +117,9 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
 /// The localized predecessor oracle used for B̂⁻¹: predecessors of a point
 /// are the earlier points (row-major order within the expansion) whose
 /// offsets are within (ξ, η) — the paper's radius-of-influence
-/// neighbourhood transported to the Bickel–Levina ordering.
-linalg::PredecessorFn expansion_predecessors(grid::Rect expansion,
-                                             grid::Halo halo);
-
-/// Allocation-free variant: writes each predecessor set into the scratch
-/// arena the estimator hands it (released by the estimator's per-row
-/// rewind).  Same sets in the same order as expansion_predecessors.
+/// neighbourhood transported to the Bickel–Levina ordering.  Each set is
+/// written, ascending, into the scratch arena the estimator hands it
+/// (released by the estimator's per-row rewind).
 class ExpansionPredecessorOracle final : public linalg::PredecessorOracle {
  public:
   ExpansionPredecessorOracle(grid::Rect expansion, grid::Halo halo)

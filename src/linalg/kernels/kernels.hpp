@@ -10,6 +10,11 @@
 // Matrix / Vector API above it is unchanged, so every EnKF variant picks
 // up the fast kernels with zero call-site churn.
 //
+// The table is dense-only.  The analysis's sparse operands — the
+// observation supports of H̄ and the rows of the modified-Cholesky L —
+// are walked by their owners, which call `axpy`/`dot` on the
+// ensemble-length rows those entries select; no indexed-gather kernel.
+//
 // Contract shared by all implementations:
 //   * row-major storage with explicit leading dimensions (lda/ldb/ldc);
 //   * GEMM/GEMV outputs are *overwritten*, never accumulated into, and
@@ -90,11 +95,6 @@ struct KernelTable {
 
   /// Σ x[i]·y[i] over contiguous spans (ascending-i lane-split sum).
   double (*dot)(Index n, const double* x, const double* y);
-
-  /// Σ values[s] · x[cols[s]] — the sparse-lower column sweep of the
-  /// modified-Cholesky estimator (indexed gather dot product).
-  double (*gather_dot)(Index nnz, const double* values, const Index* cols,
-                       const double* x);
 };
 
 /// Cache-block sizes shared by every implementation.  The j/k blocking

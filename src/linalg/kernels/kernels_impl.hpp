@@ -166,7 +166,7 @@ void gemm_tn(Index m, Index n, Index k, const double* a, Index lda,
 }
 
 // --------------------------------------------------------------------------
-// Dot-shaped family (nt products, gemv, dot, gather_dot).
+// Dot-shaped family (nt products, gemv, dot).
 // --------------------------------------------------------------------------
 
 /// Σ x[i]·y[i] with four striped vector accumulators (FMA latency is
@@ -289,20 +289,6 @@ void gemv_t(Index m, Index n, const double* a, Index lda, const double* x,
 template <class V>
 double dot(Index n, const double* x, const double* y) {
   return dot_span<V>(n, x, y);
-}
-
-template <class V>
-double gather_dot(Index nnz, const double* values, const Index* cols,
-                  const double* x) {
-  constexpr Index W = V::kWidth;
-  typename V::vd acc = V::zero();
-  Index s = 0;
-  for (; s + W <= nnz; s += W) {
-    acc = V::fmadd(V::loadu(values + s), V::gather(x, cols + s), acc);
-  }
-  double sum = V::hsum(acc);
-  for (; s < nnz; ++s) sum += values[s] * x[cols[s]];
-  return sum;
 }
 
 // --------------------------------------------------------------------------
@@ -731,8 +717,7 @@ KernelTable make_table(const char* name) {
                      &scale<V>,
                      &row_scale<V>,
                      &innovation<V>,
-                     &dot<V>,
-                     &gather_dot<V>};
+                     &dot<V>};
 }
 
 }  // namespace senkf::linalg::kernels::impl

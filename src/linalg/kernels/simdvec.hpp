@@ -67,7 +67,6 @@ constexpr Index padded_stride(Index n, Index width) {
 //   static vd fmadd(vd a, vd b, vd c);   //  a*b + c
 //   static vd fnmadd(vd a, vd b, vd c);  // -a*b + c
 //   static double hsum(vd);              // lane sum (lo-to-hi pairing)
-//   static vd gather(const double* base, const Index* idx);
 // ---------------------------------------------------------------------------
 
 namespace senkf::linalg::kernels {
@@ -89,9 +88,6 @@ struct ScalarOps {
   static vd fmadd(vd a, vd b, vd c) { return a * b + c; }
   static vd fnmadd(vd a, vd b, vd c) { return c - a * b; }
   static double hsum(vd v) { return v; }
-  static vd gather(const double* base, const Index* idx) {
-    return base[idx[0]];
-  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -121,11 +117,6 @@ struct Avx2Ops {
     lo = _mm_add_pd(lo, hi);
     return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
   }
-  static vd gather(const double* base, const Index* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm256_i64gather_pd(base, vi, 8);
-  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -152,10 +143,6 @@ struct Avx512Ops {
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
   static vd fnmadd(vd a, vd b, vd c) { return _mm512_fnmadd_pd(a, b, c); }
   static double hsum(vd v) { return _mm512_reduce_add_pd(v); }
-  static vd gather(const double* base, const Index* idx) {
-    const __m512i vi = _mm512_loadu_si512(idx);
-    return _mm512_i64gather_pd(vi, base, 8);
-  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -183,10 +170,6 @@ struct NeonOps {
   static vd fnmadd(vd a, vd b, vd c) { return vfmsq_f64(c, a, b); }
   static double hsum(vd v) {
     return vgetq_lane_f64(v, 0) + vgetq_lane_f64(v, 1);
-  }
-  static vd gather(const double* base, const Index* idx) {
-    vd v = vdupq_n_f64(base[idx[0]]);
-    return vsetq_lane_f64(base[idx[1]], v, 1);
   }
 };
 

@@ -8,37 +8,6 @@
 
 namespace senkf::linalg {
 
-namespace {
-
-// Adapts the std::function oracle to the allocation-free interface so the
-// allocating entry point shares the scratch implementation (no numeric
-// drift between the two).
-class FnOracle final : public PredecessorOracle {
- public:
-  explicit FnOracle(const PredecessorFn& fn) : fn_(fn) {}
-  std::span<const Index> predecessors(Index i, support::Arena&) override {
-    current_ = fn_(i);
-    return current_;
-  }
-
- private:
-  const PredecessorFn& fn_;
-  std::vector<Index> current_;
-};
-
-}  // namespace
-
-ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
-                                             const PredecessorFn& predecessors,
-                                             double ridge) {
-  FnOracle oracle(predecessors);
-  support::Arena arena;
-  const ModifiedCholesky scratch =
-      estimate_inverse_covariance_scratch(anomalies, oracle, ridge, arena);
-  ModifiedCholesky owned = scratch;  // deep copy: outlives the arena
-  return owned;
-}
-
 ModifiedCholesky estimate_inverse_covariance_scratch(
     const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
     support::Arena& arena) {
@@ -154,16 +123,6 @@ void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a) {
       }
     }
   }
-}
-
-PredecessorFn banded_predecessors(Index bandwidth) {
-  return [bandwidth](Index i) {
-    std::vector<Index> pred;
-    const Index first = i > bandwidth ? i - bandwidth : 0;
-    pred.reserve(i - first);
-    for (Index j = first; j < i; ++j) pred.push_back(j);
-    return pred;
-  };
 }
 
 }  // namespace senkf::linalg

@@ -17,9 +17,7 @@
 // (banded.hpp) for the analysis solve.
 #pragma once
 
-#include <functional>
 #include <span>
-#include <vector>
 
 #include "linalg/banded.hpp"
 #include "linalg/matrix.hpp"
@@ -36,14 +34,11 @@ struct ModifiedCholesky {
   Index dim() const { return d.size(); }
 };
 
-/// Predecessor oracle: given variable i, returns indices j < i that are
-/// within the localization neighbourhood of i (any order, no duplicates).
-using PredecessorFn = std::function<std::vector<Index>(Index)>;
-
-/// Allocation-free predecessor oracle: implementations may place the
-/// returned span in `scratch` (it stays valid until the caller rewinds)
-/// or point at storage they own.  Asking twice for the same i must give
-/// the same set.
+/// Predecessor oracle: given variable i, returns the indices j < i within
+/// the localization neighbourhood of i (any order, no duplicates).
+/// Implementations may place the returned span in `scratch` (it stays
+/// valid until the caller rewinds) or point at storage they own.  Asking
+/// twice for the same i must give the same set.
 class PredecessorOracle {
  public:
   virtual ~PredecessorOracle() = default;
@@ -59,15 +54,11 @@ class PredecessorOracle {
 /// normal equations, which keeps the estimate well-defined even when the
 /// neighbourhood is larger than the ensemble size (the situation that
 /// motivates the method).
-ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
-                                             const PredecessorFn& predecessors,
-                                             double ridge = 1e-8);
-
-/// Allocation-free estimation: the factor's storage (L's rows and d) is
-/// drawn from `arena` and lives until the caller rewinds past this call;
-/// the per-row temporaries (gram, rhs, factor) are released before
-/// return.  Same values as the allocating form given the same
-/// predecessor sets (which it runs on).
+///
+/// Allocation-free: the factor's storage (L's rows and d) is drawn from
+/// `arena` and lives until the caller rewinds past this call; the
+/// per-row temporaries (gram, rhs, factor) are released before return.
+/// Copying the result deep-copies it out of the arena.
 ModifiedCholesky estimate_inverse_covariance_scratch(
     const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
     support::Arena& arena);
@@ -76,9 +67,5 @@ ModifiedCholesky estimate_inverse_covariance_scratch(
 /// diagonal included) — O(Σ_i |pred(i)|²), no dense intermediate.  The
 /// band must reach every entry: a.bandwidth() >= factors.l.bandwidth().
 void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a);
-
-/// Convenience predecessor oracle for a banded ordering: pred(i) are the
-/// up-to-`bandwidth` immediately preceding variables.
-PredecessorFn banded_predecessors(Index bandwidth);
 
 }  // namespace senkf::linalg

@@ -1,9 +1,9 @@
 #include "obs/local_obs.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "linalg/kernels/dispatch.hpp"
-#include "linalg/ops.hpp"
 
 namespace senkf::obs {
 
@@ -16,10 +16,7 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
   }
 
   const Index m = selected_.size();
-  const Index n = rect.count();
-  h_ = linalg::Matrix(m, n, 0.0);
-  r_diag_ = linalg::Vector(m, 0.0);
-
+  r_diag_ = linalg::Vector(m);
   rinv_ = linalg::Vector(m);
   local_values_ = linalg::Vector(m);
   h_start_.reserve(m + 1);
@@ -27,25 +24,30 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
 
   // Patch-local row-major indexing must match grid::Patch::local_index.
   const Index width = rect.x.size();
-  std::vector<Index> support;
+  std::vector<std::pair<Index, double>> points;  // (local index, weight)
   for (Index row = 0; row < m; ++row) {
     const ObsComponent& comp = comps[selected_[row]];
-    support.clear();
+    points.clear();
     for (const auto& sp : comp.support) {
-      const Index local = (sp.point.y - rect.y.begin) * width +
-                          (sp.point.x - rect.x.begin);
-      h_(row, local) += sp.weight;
-      support.push_back(local);
+      points.emplace_back((sp.point.y - rect.y.begin) * width +
+                              (sp.point.x - rect.x.begin),
+                          sp.weight);
     }
-    // The row-sparse copy: distinct support points ascending, weights
-    // read back from the dense row (repeated points arrive merged), zero
-    // weights dropped.
-    std::sort(support.begin(), support.end());
-    support.erase(std::unique(support.begin(), support.end()), support.end());
-    for (const Index j : support) {
-      if (h_(row, j) == 0.0) continue;
+    // Support points ascending; a repeated point's weights summed in
+    // input order (the stable sort keeps it), zero sums dropped.
+    std::stable_sort(points.begin(), points.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (Index s = 0; s < points.size();) {
+      const Index j = points[s].first;
+      double weight = 0.0;
+      for (; s < points.size() && points[s].first == j; ++s) {
+        weight += points[s].second;
+      }
+      if (weight == 0.0) continue;
       h_columns_.push_back(j);
-      h_weights_.push_back(h_(row, j));
+      h_weights_.push_back(weight);
     }
     h_start_.push_back(h_columns_.size());
     const std::span<const Index> row_columns = h_columns(row);
@@ -73,6 +75,21 @@ void LocalObservations::apply_h_into(const linalg::Matrix& x,
     for (Index s = 0; s < columns.size(); ++s) {
       table.axpy(x.cols(), weights[s], x.row(columns[s]).data(), dst.data());
     }
+  }
+}
+
+void LocalObservations::apply_h_into(const linalg::Vector& x,
+                                     linalg::Vector& out) const {
+  SENKF_REQUIRE(x.size() == rect_.count() && out.size() == size(),
+                "LocalObservations::apply_h_into: shape mismatch");
+  for (Index r = 0; r < size(); ++r) {
+    const auto columns = h_columns(r);
+    const auto weights = h_weights(r);
+    double sum = 0.0;
+    for (Index s = 0; s < columns.size(); ++s) {
+      sum += weights[s] * x[columns[s]];
+    }
+    out[r] = sum;
   }
 }
 
@@ -131,14 +148,6 @@ void LocalObservations::select_rows_into(const linalg::Matrix& global,
     auto dst = out.row(row);
     std::copy(src.begin(), src.end(), dst.begin());
   }
-}
-
-linalg::Vector LocalObservations::apply_h(const grid::Patch& patch) const {
-  SENKF_REQUIRE(patch.rect() == rect_,
-                "LocalObservations::apply_h: patch must cover the rect");
-  linalg::Vector x(patch.size());
-  std::copy(patch.values().begin(), patch.values().end(), x.begin());
-  return linalg::multiply(h_, x);
 }
 
 }  // namespace senkf::obs

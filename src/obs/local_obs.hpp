@@ -3,15 +3,13 @@
 // For a sub-domain (or layer) expansion D̄, the local pieces are:
 //   * the indices of the observed components entirely supported by D̄,
 //   * H_{[i,j]} — an m̄×n̄ operator acting on the expansion patch
-//     (row-major patch-local indexing), held both dense (the
-//     deterministic transform's GEMMs) and row-sparse (each row's
-//     support points: the stochastic analysis applies H, Hᵀ and adds
-//     HᵀR⁻¹H on the band through it),
+//     (row-major patch-local indexing), held only row-sparse: each row
+//     keeps its 1–4 support points.  Both analysis kinds apply H, Hᵀ
+//     and (stochastic) add HᵀR⁻¹H on the band through it, at O(s) per
+//     row and column for supports of s points,
 //   * the diagonal of R_{[i,j]} and its reciprocals,
 //   * the corresponding rows of the global Yˢ.
-// Nothing here is n̄×n̄: the observation term of the stochastic system is
-// assembled per patch straight into band storage, at O(m̄·s²) for
-// supports of s points.
+// Nothing here is m̄×n̄ or n̄×n̄.
 #pragma once
 
 #include <span>
@@ -34,9 +32,6 @@ class LocalObservations {
 
   /// Global indices of the selected components (ascending).
   const std::vector<Index>& selected() const { return selected_; }
-
-  /// Dense local operator H̄ (size() × rect().count()).
-  const linalg::Matrix& h() const { return h_; }
 
   /// Diagonal of the local R (variances, length size()).
   const linalg::Vector& r_diagonal() const { return r_diag_; }
@@ -64,6 +59,9 @@ class LocalObservations {
   /// columns), through the row supports.
   void apply_h_into(const linalg::Matrix& x, linalg::Matrix& out) const;
 
+  /// out = H̄·x for a vector x of length rect().count() (out: size()).
+  void apply_h_into(const linalg::Vector& x, linalg::Vector& out) const;
+
   /// out = H̄ᵀ·d for d with size() rows (out: rect().count() rows).
   void apply_ht_into(const linalg::Matrix& d, linalg::Matrix& out) const;
 
@@ -80,13 +78,9 @@ class LocalObservations {
   void select_rows_into(const linalg::Matrix& global,
                         linalg::Matrix& out) const;
 
-  /// H̄ · patch for the patch covering exactly rect().
-  linalg::Vector apply_h(const grid::Patch& patch) const;
-
  private:
   grid::Rect rect_;
   std::vector<Index> selected_;
-  linalg::Matrix h_;
   linalg::Vector r_diag_;
   linalg::Vector rinv_;
   std::vector<Index> h_start_;  // size()+1 offsets into the two below

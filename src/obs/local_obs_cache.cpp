@@ -68,7 +68,7 @@ std::shared_ptr<const LocalObservations> localized(
     }
   }
 
-  // Build outside any lock (localization fills an m̄×n̄ H̄);
+  // Build outside any lock (localization sorts every row's supports);
   // concurrent builders of the same key race benignly — first insert
   // wins and the loser's build is returned to that caller only.
   misses().add();

@@ -1,15 +1,15 @@
 // Process-wide cache of localized observation products (DESIGN.md §15).
 //
 // Localizing an ObservationSet to an expansion rectangle — selecting the
-// supported components, building H̄ (dense and row-sparse) and the R
-// diagonal with its reciprocals — depends only on (observation set,
-// rect).  No product with H̄ is cached: the stochastic analysis forms
-// its HᵀR⁻¹H term per patch on the band, which is cheaper than caching
-// an n̄×n̄ matrix per rect.  Sub-domains are
-// re-analysed with the same rects every cycle, and under the service
-// plane the same network is shared across jobs, so the cache turns the
-// per-patch localization cost into a shared-lock lookup after the first
-// cycle.
+// supported components, building H̄ once, row-sparse (1–4 support points
+// per row), and the R diagonal with its reciprocals — depends only on
+// (observation set, rect).  An entry holds nothing m̄×n̄ or n̄×n̄, and no
+// product with H̄: both analysis kinds apply H̄ through its supports per
+// patch, and the stochastic one forms its HᵀR⁻¹H term on the band.
+// Sub-domains are re-analysed with the same rects every cycle, and under
+// the service plane the same network is shared across jobs, so the cache
+// turns the per-patch localization cost into a shared-lock lookup after
+// the first cycle.
 //
 // Keys use ObservationSet::epoch(), a process-unique id assigned at
 // construction: a *new* observation set (fresh values, new network) gets

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "../linalg/dense_h.hpp"
 #include "enkf/diagnostics.hpp"
 #include "linalg/covariance.hpp"
 #include "enkf/lenkf.hpp"
@@ -107,7 +108,8 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
     for (Index k = 0; k < members; ++k) u(i, k) -= mean[i];
   }
   const obs::LocalObservations local(w.observations, rect);
-  const linalg::Matrix y_tilde = linalg::multiply(local.h(), u);
+  const linalg::Matrix h = obs::testing::dense_h(w.observations, local);
+  const linalg::Matrix y_tilde = linalg::multiply(h, u);
   linalg::Matrix rinv_y = y_tilde;
   for (Index r = 0; r < local.size(); ++r) {
     auto row_values = rinv_y.row(r);
@@ -117,7 +119,7 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
   for (Index k = 0; k < members; ++k) {
     system(k, k) += static_cast<double>(members - 1);
   }
-  const linalg::Vector hx = linalg::multiply(local.h(), mean);
+  const linalg::Vector hx = linalg::multiply(h, mean);
   linalg::Vector innovation(local.size());
   for (Index r = 0; r < local.size(); ++r) {
     innovation[r] = w.observations.values()[local.selected()[r]] - hx[r];

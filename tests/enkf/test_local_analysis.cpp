@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "../linalg/dense_factor.hpp"
+#include "../linalg/dense_h.hpp"
 #include "enkf/ensemble_store.hpp"
+#include "expansion_predecessors.hpp"
 #include "grid/synthetic.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
@@ -115,19 +117,20 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
     const auto patch = sc.ensemble.members[k].extract(rect);
     for (Index i = 0; i < n; ++i) xb(i, k) = patch.values()[i];
   }
-  const auto binv = linalg::estimate_inverse_covariance(
+  const auto binv = linalg::testing::estimate_inverse_covariance(
       linalg::ensemble_anomalies(xb),
-      expansion_predecessors(rect, opt.halo), opt.ridge);
+      testing::expansion_predecessors(rect, opt.halo), opt.ridge);
   const obs::LocalObservations local(sc.observations, rect);
+  const linalg::Matrix h = obs::testing::dense_h(sc.observations, local);
   linalg::Matrix system = linalg::testing::dense_inverse_covariance(binv);
-  linalg::Matrix rinv_h = local.h();
+  linalg::Matrix rinv_h = h;
   for (Index r = 0; r < local.size(); ++r) {
     for (Index cidx = 0; cidx < rinv_h.cols(); ++cidx) {
       rinv_h(r, cidx) /= local.r_diagonal()[r];
     }
   }
-  linalg::axpy(1.0, linalg::multiply_at_b(local.h(), rinv_h), system);
-  linalg::Matrix innovations = linalg::multiply(local.h(), xb);
+  linalg::axpy(1.0, linalg::multiply_at_b(h, rinv_h), system);
+  linalg::Matrix innovations = linalg::multiply(h, xb);
   linalg::scale(innovations, -1.0);
   linalg::axpy(1.0, local.select_rows(sc.ys), innovations);
   for (Index r = 0; r < local.size(); ++r) {
@@ -135,8 +138,7 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
       innovations(r, cidx) /= local.r_diagonal()[r];
     }
   }
-  const linalg::Matrix rhs =
-      linalg::multiply_at_b(local.h(), innovations);
+  const linalg::Matrix rhs = linalg::multiply_at_b(h, innovations);
   const linalg::Matrix delta = linalg::LuFactor(system).solve(rhs);
 
   for (Index k = 0; k < members; ++k) {
@@ -221,22 +223,43 @@ TEST(LocalAnalysis, RejectsBadOptionsOnRectsWithoutObservations) {
   EXPECT_THROW(analyse(negative_ridge), senkf::InvalidArgument);
 }
 
+/// The oracle's set for point i, copied out of its arena.
+std::vector<linalg::Index> oracle_set(ExpansionPredecessorOracle& oracle,
+                                      Index i) {
+  support::Arena arena;
+  const auto pred = oracle.predecessors(i, arena);
+  return {pred.begin(), pred.end()};
+}
+
 TEST(ExpansionPredecessors, RespectsHaloWindow) {
   const grid::Rect rect{{0, 5}, {0, 4}};  // 5 wide, 4 tall
-  const auto pred = expansion_predecessors(rect, grid::Halo{1, 1});
-  EXPECT_TRUE(pred(0).empty());
+  ExpansionPredecessorOracle oracle(rect, grid::Halo{1, 1});
+  EXPECT_TRUE(oracle_set(oracle, 0).empty());
   // Point (x=2, y=1) = index 7: window x∈{1,2,3}, y∈{0,1}, earlier only.
-  const auto p7 = pred(7);
-  EXPECT_EQ(p7, (std::vector<linalg::Index>{1, 2, 3, 6}));
+  EXPECT_EQ(oracle_set(oracle, 7), (std::vector<linalg::Index>{1, 2, 3, 6}));
   // Point (x=0, y=2) = index 10: window x∈{0,1}, y∈{1,2}.
-  const auto p10 = pred(10);
-  EXPECT_EQ(p10, (std::vector<linalg::Index>{5, 6}));
+  EXPECT_EQ(oracle_set(oracle, 10), (std::vector<linalg::Index>{5, 6}));
 }
 
 TEST(ExpansionPredecessors, ZeroHaloGivesNoPredecessors) {
   const grid::Rect rect{{0, 4}, {0, 4}};
-  const auto pred = expansion_predecessors(rect, grid::Halo{0, 0});
-  for (Index i = 0; i < 16; ++i) EXPECT_TRUE(pred(i).empty());
+  ExpansionPredecessorOracle oracle(rect, grid::Halo{0, 0});
+  for (Index i = 0; i < 16; ++i) EXPECT_TRUE(oracle_set(oracle, i).empty());
+}
+
+TEST(ExpansionPredecessors, OracleMatchesTheReferenceNeighbourhood) {
+  // The test references estimate B̂⁻¹ on their own copy of the
+  // neighbourhood; it must be the set the oracle hands the estimator.
+  const grid::Rect rect{{3, 10}, {2, 7}};  // 7 wide, 5 tall
+  for (const grid::Halo halo : {grid::Halo{1, 1}, grid::Halo{2, 1},
+                                grid::Halo{3, 0}, grid::Halo{0, 2}}) {
+    ExpansionPredecessorOracle oracle(rect, halo);
+    const auto reference = testing::expansion_predecessors(rect, halo);
+    for (Index i = 0; i < rect.count(); ++i) {
+      EXPECT_EQ(oracle_set(oracle, i), reference(i))
+          << "halo (" << halo.xi << ", " << halo.eta << "), point " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //  * model.drift.* gauges are populated after every run;
 //  * an injected straggler delay raises senkf.straggler.* WARNs, and
 //    SENKF_SKEW_WARN=off silences the monitor;
-//  * the aggregation survives an injected-faulty PFS (SENKF_FAULTS).
+//  * the aggregation survives an injected-faulty PFS (SENKF_FAULTS);
+//  * SENKF_SAMPLE_MS arms the background sampler for L-EnKF too.
 //
 // Causal-tracing acceptance (DESIGN.md §13): an injected straggler rank
 // dominates the per-cycle critical path and the attribution sums to the
@@ -16,14 +17,17 @@
 // flush-on-fault still emits the partial time-series and critical path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "enkf/faulty_store.hpp"
+#include "enkf/lenkf.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
@@ -331,6 +335,36 @@ TEST(Observability, MonitorOffInConfigStillAggregates) {
   EXPECT_EQ(stats.straggler_warns, 0u);
   EXPECT_EQ(stats.ranks.size(), config.total_ranks());
   EXPECT_GT(stats.messages, 0u);
+}
+
+TEST(Observability, SampleEnvArmsTheSamplerForLenkf) {
+  // SENKF_SAMPLE_MS starts the background sampler for every parallel
+  // engine: an L-EnKF run alone must leave samples in the recorder.
+  telemetry::stop_sampler();
+  telemetry::TimeSeriesRecorder& recorder =
+      telemetry::TimeSeriesRecorder::global();
+  recorder.clear();
+  ::setenv("SENKF_SAMPLE_MS", "1", 1);
+  const World w(49);
+  EnkfRunConfig run;
+  run.n_sdx = 4;
+  run.n_sdy = 2;
+  run.layers = 3;
+  run.analysis.halo = grid::Halo{2, 1};
+  (void)lenkf(w.store, w.observations, w.ys, run);
+  // A 1 ms period samples almost at once; the deadline only bounds a
+  // sampler that never started.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (recorder.samples() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t samples = recorder.samples();
+  ::unsetenv("SENKF_SAMPLE_MS");
+  telemetry::stop_sampler();
+  recorder.clear();
+  EXPECT_GT(samples, 0u);
 }
 
 // Tracing state, the critical-path list, and the series recorder are

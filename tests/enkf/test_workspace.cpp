@@ -2,13 +2,17 @@
 //
 // The reference below is a frozen copy of the pre-workspace local
 // analysis (allocating linalg API, per-call LocalObservations, owning
-// temporaries, and for the stochastic scheme the dense n̄×n̄ system
-// B̂⁻¹ + HᵀR⁻¹H solved by dense Cholesky).  Every test compares the
+// temporaries, the dense m̄×n̄ H̄ rebuilt by obs::testing::dense_h, and
+// for the stochastic scheme the dense n̄×n̄ system B̂⁻¹ + HᵀR⁻¹H solved
+// by dense Cholesky).  Every test compares the
 // production entry points against it — across analysis kinds, inflation
 // settings, reused workspaces of varying shapes, threads, and the wire
 // framing:
-//   * the deterministic transform must match it bitwise (same gather,
-//     same kernel sequence on same-stride scratch, same projection);
+//   * the deterministic transform must match it bitwise on point
+//     stations (same gather, same kernel sequence on same-stride
+//     scratch, same projection; a one-point row of H̄ gives the same
+//     product dense or sparse), and to kBilinearTolerance on bilinear
+//     stations, whose four products the supports sum in another order;
 //   * the stochastic update solves the same system on its band (see
 //     linalg/banded.hpp), which reorders the floating-point sums, so it
 //     must match to kStochasticTolerance, relative to the member's
@@ -27,7 +31,9 @@
 #include <vector>
 
 #include "../linalg/dense_factor.hpp"
+#include "../linalg/dense_h.hpp"
 #include "enkf/patch_wire.hpp"
+#include "expansion_predecessors.hpp"
 #include "grid/synthetic.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
@@ -145,8 +151,9 @@ AnalysisResult reference_deterministic(const linalg::Matrix& xb,
     for (Index k = 0; k < n_members; ++k) anomalies(i, k) -= mean[i];
   }
 
-  const linalg::Matrix y_tilde = linalg::multiply(local.h(), anomalies);
-  const linalg::Vector hx_mean = linalg::multiply(local.h(), mean);
+  const linalg::Matrix h = obs::testing::dense_h(observations, local);
+  const linalg::Matrix y_tilde = linalg::multiply(h, anomalies);
+  const linalg::Vector hx_mean = linalg::multiply(h, mean);
   linalg::Vector innovation(local.size());
   for (Index r = 0; r < local.size(); ++r) {
     innovation[r] =
@@ -236,13 +243,13 @@ AnalysisResult reference_local_analysis(
 
   const linalg::Matrix anomalies = linalg::ensemble_anomalies(xb);
   const linalg::ModifiedCholesky binv_factors =
-      linalg::estimate_inverse_covariance(
-          anomalies, expansion_predecessors(expansion, options.halo),
+      linalg::testing::estimate_inverse_covariance(
+          anomalies, testing::expansion_predecessors(expansion, options.halo),
           options.ridge);
   linalg::Matrix system =
       linalg::testing::dense_inverse_covariance(binv_factors);
 
-  const linalg::Matrix& h = local.h();
+  const linalg::Matrix h = obs::testing::dense_h(observations, local);
   const linalg::Vector& r_diag = local.r_diagonal();
   const Index m_bar = local.size();
   linalg::Vector rinv(m_bar);
@@ -305,6 +312,12 @@ void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
 // 3.6e-11 on these cases.  The bound keeps ~14× headroom over the worst
 // measurement.
 constexpr double kStochasticTolerance = 1e-9;
+
+// Row-support vs dense application of a bilinear H̄ in the deterministic
+// transform, same relative measure.  Measured on the bilinear case below:
+// 0 (scalar kernels), 8.1e-15 (AVX2), 4.9e-15 (AVX-512).  Point stations
+// have one support point per row, so there the two agree bitwise.
+constexpr double kBilinearTolerance = 1e-12;
 
 double relative_difference(std::span<const double> got,
                            std::span<const double> want) {
@@ -394,6 +407,35 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
                                                  sc.observations, sc.ys, opt);
       expect_identical(owned(scratch_on(background, rect, sc, opt, ws, views)),
                        want);
+    }
+  }
+}
+
+TEST_F(Workspace, DeterministicBilinearStationsMatchSeedToRounding) {
+  // A bilinear row has four support points.  The seed's dense H̄ sums
+  // their products in the GEMM kernel's order (lane-split under SIMD
+  // tables), the supports in ascending column order, so Ỹ = H̄U and H̄x̄
+  // may differ in the last bits.
+  const Scenario sc(18, 8, 40, /*bilinear=*/true);
+  LocalAnalysisWorkspace ws;
+  std::vector<grid::PatchView> views;
+  for (const double inflation : {1.0, 1.05}) {
+    const AnalysisOptions opt =
+        options_for(AnalysisKind::kDeterministicTransform, inflation);
+    for (const grid::Rect rect : varied_rects()) {
+      const auto background = sc.patches(rect);
+      const auto want = reference_local_analysis(background, rect,
+                                                 sc.observations, sc.ys, opt);
+      const AnalysisResult got =
+          owned(scratch_on(background, rect, sc, opt, ws, views));
+      ASSERT_EQ(got.members.size(), want.members.size());
+      EXPECT_EQ(got.local_observations, want.local_observations);
+      for (Index k = 0; k < got.members.size(); ++k) {
+        EXPECT_LE(relative_difference(got.members[k].values(),
+                                      want.members[k].values()),
+                  kBilinearTolerance)
+            << "member " << k << " strays from the dense-H̄ reference";
+      }
     }
   }
 }

@@ -334,19 +334,6 @@ void check_elementwise(const KernelTable& table, bool padded) {
     scalar_kernels().innovation(m, n, ys.data(), ys.ld, hx.data(), hx.ld,
                                 rinv.data(), out_ref.data(), out_ref.ld);
     expect_close(out, out_ref, "innovation");
-
-    // gather_dot with random sparse columns into an x of length 2n+1.
-    const Index xlen = 2 * n + 1;
-    std::vector<double> dense(xlen);
-    for (auto& v : dense) v = rng.normal();
-    std::vector<Index> cols(n);
-    for (Index i = 0; i < n; ++i) {
-      cols[i] = static_cast<Index>(std::abs(rng.normal()) * 1000) % xlen;
-    }
-    expect_scalar_close(
-        table.gather_dot(n, x.data(), cols.data(), dense.data()),
-        scalar_kernels().gather_dot(n, x.data(), cols.data(), dense.data()),
-        "gather_dot", n);
   }
 }
 

@@ -15,8 +15,10 @@
 namespace senkf::linalg {
 namespace {
 
+using testing::banded_predecessors;
 using testing::dense_inverse_covariance;
 using testing::dense_l;
+using testing::estimate_inverse_covariance;
 
 // Ensemble whose rows follow an AR(1)-like chain so that banded
 // predecessors are the statistically correct neighbourhood.
@@ -158,13 +160,5 @@ TEST(ModifiedCholesky, InvalidInputsThrow) {
   Matrix u(3, 5, 1.0);
   EXPECT_THROW(estimate_inverse_covariance(u, bad), InvalidArgument);
 }
-
-TEST(ModifiedCholesky, BandedPredecessorsShape) {
-  const auto pred = banded_predecessors(3);
-  EXPECT_TRUE(pred(0).empty());
-  EXPECT_EQ(pred(2), (std::vector<Index>{0, 1}));
-  EXPECT_EQ(pred(5), (std::vector<Index>{2, 3, 4}));
-}
-
 }  // namespace
 }  // namespace senkf::linalg

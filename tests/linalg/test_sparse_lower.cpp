@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "dense_factor.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/modified_cholesky.hpp"
 #include "support/rng.hpp"
@@ -24,17 +25,17 @@ Matrix random_anomalies(Index n, Index members, Rng& rng) {
 // Hands out the banded predecessor sets through the arena interface.
 class BandedOracle final : public PredecessorOracle {
  public:
-  explicit BandedOracle(Index band) : fn_(banded_predecessors(band)) {}
+  explicit BandedOracle(Index band) : band_(band) {}
   std::span<const Index> predecessors(Index i,
                                       support::Arena& scratch) override {
-    const std::vector<Index> pred = fn_(i);
-    auto out = scratch.allocate_span<Index>(pred.size());
-    std::copy(pred.begin(), pred.end(), out.begin());
+    const Index first = i > band_ ? i - band_ : 0;
+    auto out = scratch.allocate_span<Index>(i - first);
+    for (Index j = first; j < i; ++j) out[j - first] = j;
     return out;
   }
 
  private:
-  PredecessorFn fn_;
+  Index band_;
 };
 
 TEST(SparseUnitLower, ScratchLayoutFollowsRowOffsets) {
@@ -59,11 +60,11 @@ TEST(SparseUnitLower, ScratchLayoutFollowsRowOffsets) {
 TEST(SparseUnitLower, EstimatorStoresOnlyThePredecessors) {
   Rng rng(1);
   const Index n = 200, band = 5;
-  const auto factors = estimate_inverse_covariance(
-      random_anomalies(n, 10, rng), banded_predecessors(band), 1e-6);
+  const auto factors = testing::estimate_inverse_covariance(
+      random_anomalies(n, 10, rng), testing::banded_predecessors(band), 1e-6);
   EXPECT_EQ(factors.l.dim(), n);
   EXPECT_EQ(factors.l.bandwidth(), band);
-  const auto pred = banded_predecessors(band);
+  const auto pred = testing::banded_predecessors(band);
   for (Index i = 0; i < n; ++i) {
     const auto columns = factors.l.columns(i);
     EXPECT_EQ(std::vector<Index>(columns.begin(), columns.end()), pred(i));
@@ -100,25 +101,5 @@ TEST(SparseUnitLower, CopyOutlivesTheArena) {
   EXPECT_EQ(source.nonzeros(), 0u);
   EXPECT_EQ(moved.values(9)[0], row9[0]);
 }
-
-TEST(SparseUnitLower, ScratchEstimateMatchesOwningEstimate) {
-  // Same predecessor sets, same per-row kernels: bitwise the same factor.
-  Rng rng(3);
-  const Matrix u = random_anomalies(40, 12, rng);
-  const auto owning = estimate_inverse_covariance(u, banded_predecessors(4),
-                                                  1e-6);
-  BandedOracle oracle(4);
-  support::Arena arena;
-  const ModifiedCholesky scratch =
-      estimate_inverse_covariance_scratch(u, oracle, 1e-6, arena);
-  ASSERT_EQ(scratch.l.nonzeros(), owning.l.nonzeros());
-  for (Index i = 0; i < 40; ++i) {
-    EXPECT_EQ(scratch.d[i], owning.d[i]);
-    for (Index s = 0; s < owning.l.values(i).size(); ++s) {
-      EXPECT_EQ(scratch.l.values(i)[s], owning.l.values(i)[s]);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace senkf::linalg

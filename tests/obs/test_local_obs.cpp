@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../linalg/dense_h.hpp"
 #include "grid/synthetic.hpp"
 #include "linalg/ops.hpp"
 #include "obs/perturbed.hpp"
@@ -63,7 +64,10 @@ TEST(LocalObservations, HAppliesLikeComponents) {
   const LocalObservations local(sc.set, rect);
   ASSERT_GT(local.size(), 0u);
   const grid::Patch patch = sc.truth.extract(rect);
-  const linalg::Vector hx = local.apply_h(patch);
+  linalg::Vector x(patch.size());
+  std::copy(patch.values().begin(), patch.values().end(), x.begin());
+  linalg::Vector hx(local.size());
+  local.apply_h_into(x, hx);
   for (Index row = 0; row < local.size(); ++row) {
     const double direct = sc.set.components()[local.selected()[row]].apply(patch);
     EXPECT_NEAR(hx[row], direct, 1e-12);
@@ -107,12 +111,25 @@ TEST(LocalObservations, EmptyRegionYieldsNoObs) {
   EXPECT_EQ(local.empty(), !any_station_there);
 }
 
-TEST(LocalObservations, ApplyHRejectsWrongPatch) {
+TEST(LocalObservations, ApplyHRejectsShapeMismatch) {
   const Scenario sc(7);
   const grid::Rect rect{{0, 10}, {0, 6}};
   const LocalObservations local(sc.set, rect);
-  const grid::Patch wrong(grid::Rect{{0, 9}, {0, 6}}, 0.0);
-  EXPECT_THROW(local.apply_h(wrong), senkf::InvalidArgument);
+  ASSERT_GT(local.size(), 0u);
+  const Index n = rect.count();
+  // x one point short of the rect, or an output of the wrong height.
+  linalg::Vector hx(local.size());
+  EXPECT_THROW(local.apply_h_into(linalg::Vector(n - 1), hx),
+               senkf::InvalidArgument);
+  linalg::Vector tall(local.size() + 1);
+  EXPECT_THROW(local.apply_h_into(linalg::Vector(n), tall),
+               senkf::InvalidArgument);
+  linalg::Matrix hx_block(local.size(), 2);
+  EXPECT_THROW(local.apply_h_into(linalg::Matrix(n - 1, 2), hx_block),
+               senkf::InvalidArgument);
+  linalg::Matrix narrow(local.size(), 1);
+  EXPECT_THROW(local.apply_h_into(linalg::Matrix(n, 2), narrow),
+               senkf::InvalidArgument);
 }
 
 TEST(LocalObservations, BilinearSupportRespectsRectBoundary) {
@@ -133,7 +150,8 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
   // The stochastic analysis applies H̄, H̄ᵀ and adds H̄ᵀR⁻¹H̄ through the
   // row supports; each must agree with the dense H̄.  Bilinear stations
   // give 4-point rows one rect width apart, plus one point station placed
-  // twice to check repeated support points merge.
+  // twice to check repeated support points merge, and one component whose
+  // repeated point cancels to weight 0, which must be dropped.
   const grid::LatLonGrid g(20, 12);
   senkf::Rng truth_rng(8);
   const grid::Field truth = grid::synthetic_field(g, truth_rng);
@@ -147,14 +165,19 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
   doubled.support = {{{3, 2}, 0.5}, {{3, 2}, 0.5}};
   doubled.error_std = 0.2;
   comps.push_back(doubled);
+  ObsComponent cancelled;
+  cancelled.support = {{{5, 3}, 0.5}, {{6, 3}, 0.25}, {{5, 3}, -0.5}};
+  cancelled.error_std = 0.3;
+  comps.push_back(cancelled);
   std::vector<double> values = bilinear.values();
   values.push_back(1.0);
+  values.push_back(2.0);
   const ObservationSet set(g, comps, values);
 
   const grid::Rect rect{{1, 17}, {1, 11}};
   const LocalObservations local(set, rect);
   ASSERT_GT(local.size(), 2u);
-  const linalg::Matrix& h = local.h();
+  const linalg::Matrix h = testing::dense_h(set, local);
   const Index n = rect.count();
 
   Index widest = 0;
@@ -171,6 +194,15 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
   }
   EXPECT_EQ(local.h_bandwidth(), widest);
   EXPECT_EQ(local.h_bandwidth(), rect.x.size() + 1);  // a bilinear row
+
+  // The cancelled component keeps only its surviving point (6, 3).
+  ASSERT_EQ(local.selected().back(), comps.size() - 1);
+  const Index last = local.size() - 1;
+  const Index survivor =
+      (3 - rect.y.begin) * rect.x.size() + (6 - rect.x.begin);
+  ASSERT_EQ(local.h_columns(last).size(), 1u);
+  EXPECT_EQ(local.h_columns(last)[0], survivor);
+  EXPECT_EQ(local.h_weights(last)[0], 0.25);
 
   linalg::Matrix x(n, 3);
   for (Index i = 0; i < n; ++i) {
