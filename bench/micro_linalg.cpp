@@ -1,15 +1,16 @@
 // Micro-benchmarks of the linear-algebra kernels behind the local
-// analysis (google-benchmark).  The Potrf/Trsm/Innovation pairs run both
-// the dispatched table and the scalar reference so one JSON capture
+// analysis (google-benchmark).  The Innovation pair runs both the
+// dispatched table and the scalar reference so one JSON capture
 // (BENCH_linalg.json) records the SIMD speedup on the host that produced
-// it.
+// it; the SPD factorizations are timed where they run, inside
+// BM_ModifiedCholesky here and the stochastic analysis in
+// micro_analysis.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <span>
 #include <vector>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/kernels/dispatch.hpp"
 #include "linalg/kernels/simdvec.hpp"
@@ -33,13 +34,6 @@ Matrix random_matrix(Index rows, Index cols, std::uint64_t seed) {
     for (Index j = 0; j < cols; ++j) m(i, j) = rng.normal();
   }
   return m;
-}
-
-Matrix random_spd(Index n, std::uint64_t seed) {
-  Matrix m = random_matrix(n, n, seed);
-  Matrix a = linalg::multiply_a_bt(m, m);
-  for (Index i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
-  return a;
 }
 
 /// Reports the kernel throughput: `flops` is the FLOP count of one
@@ -118,103 +112,6 @@ void BM_GemmABtTall(benchmark::State& state) {
   report_gflops(state, 2.0 * static_cast<double>(rows * rows * members));
 }
 BENCHMARK(BM_GemmABtTall)->Args({512, 40})->Args({1024, 40});
-
-void BM_Cholesky(benchmark::State& state) {
-  const Index n = static_cast<Index>(state.range(0));
-  const Matrix a = random_spd(n, 5);
-  for (auto _ : state) {
-    linalg::CholeskyFactor factor(a);
-    benchmark::DoNotOptimize(factor.lower().data());
-  }
-  const double dn = static_cast<double>(n);
-  report_gflops(state, dn * dn * dn / 3.0);
-}
-BENCHMARK(BM_Cholesky)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SpdSolve(benchmark::State& state) {
-  const Index n = static_cast<Index>(state.range(0));
-  const Matrix a = random_spd(n, 6);
-  const Matrix b = random_matrix(n, 16, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::solve_spd(a, b));
-  }
-  const double dn = static_cast<double>(n);
-  // One factorization plus forward+backward sweeps over 16 RHS columns.
-  report_gflops(state, dn * dn * dn / 3.0 + 2.0 * dn * dn * 16.0);
-}
-BENCHMARK(BM_SpdSolve)->Arg(64)->Arg(128)->Arg(256);
-
-// ---------------------------------------------------------------------
-// Table-level benches: the same kernel body on the dispatched table and
-// on the scalar table, so BENCH_linalg.json captures the SIMD speedup
-// (the acceptance floor is ≥2× GFLOP/s on blocked Cholesky and trsm).
-// ---------------------------------------------------------------------
-
-/// SPD matrix in a raw padded buffer (ld = padded_stride for the table).
-std::vector<double> raw_spd(Index n, Index ld, std::uint64_t seed) {
-  const Matrix a = random_spd(n, seed);
-  std::vector<double> out(n * ld, 0.0);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < n; ++j) out[i * ld + j] = a(i, j);
-  }
-  return out;
-}
-
-void bench_potrf(benchmark::State& state, const KernelTable& table) {
-  const Index n = static_cast<Index>(state.range(0));
-  const Index ld = linalg::kernels::padded_stride(n, table.width);
-  const std::vector<double> pristine = raw_spd(n, ld, 5);
-  std::vector<double> a = pristine;
-  for (auto _ : state) {
-    a = pristine;
-    benchmark::DoNotOptimize(table.potrf(n, a.data(), ld));
-  }
-  const double dn = static_cast<double>(n);
-  report_gflops(state, dn * dn * dn / 3.0);
-  state.SetLabel(table.name);
-}
-
-void BM_Potrf(benchmark::State& state) {
-  bench_potrf(state, linalg::kernels::active_kernels());
-}
-void BM_PotrfScalar(benchmark::State& state) {
-  bench_potrf(state, linalg::kernels::scalar_kernels());
-}
-BENCHMARK(BM_Potrf)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-BENCHMARK(BM_PotrfScalar)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void bench_trsm(benchmark::State& state, const KernelTable& table) {
-  const Index n = static_cast<Index>(state.range(0));
-  const Index nrhs = static_cast<Index>(state.range(1));
-  const Index ld = linalg::kernels::padded_stride(n, table.width);
-  std::vector<double> l = raw_spd(n, ld, 6);
-  table.potrf(n, l.data(), ld);
-  const Index ldb = linalg::kernels::padded_stride(nrhs, table.width);
-  std::vector<double> b(n * ldb, 0.0);
-  Rng rng(7);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < nrhs; ++j) b[i * ldb + j] = rng.normal();
-  }
-  for (auto _ : state) {
-    table.trsm_lln(n, nrhs, l.data(), ld, b.data(), ldb);
-    table.trsm_llt(n, nrhs, l.data(), ld, b.data(), ldb);
-    benchmark::DoNotOptimize(b.data());
-  }
-  const double dn = static_cast<double>(n);
-  report_gflops(state, 2.0 * dn * dn * static_cast<double>(nrhs));
-  state.SetLabel(table.name);
-}
-
-void BM_Trsm(benchmark::State& state) {
-  bench_trsm(state, linalg::kernels::active_kernels());
-}
-void BM_TrsmScalar(benchmark::State& state) {
-  bench_trsm(state, linalg::kernels::scalar_kernels());
-}
-BENCHMARK(BM_Trsm)->Args({128, 16})->Args({256, 16})->Args({256, 120})
-    ->Args({512, 40});
-BENCHMARK(BM_TrsmScalar)->Args({128, 16})->Args({256, 16})->Args({256, 120})
-    ->Args({512, 40});
 
 // R⁻¹(Yˢ − HX̄ᵇ): the fused innovation pass over an observation panel.
 void bench_innovation(benchmark::State& state, const KernelTable& table) {

@@ -32,20 +32,6 @@ void pack_patch(parcomm::Packer& packer, const PatchView& patch) {
   packer.put_span(patch.values());
 }
 
-void pack_field_block(parcomm::Packer& packer, const grid::Field& field,
-                      grid::Rect rect) {
-  const grid::LatLonGrid& g = field.grid();
-  SENKF_REQUIRE(rect.x.end <= g.nx() && rect.y.end <= g.ny(),
-                "pack_field_block: rect outside grid");
-  pack_rect(packer, rect);
-  packer.put<std::uint64_t>(rect.count());
-  for (grid::Index y = rect.y.begin; y < rect.y.end; ++y) {
-    const double* row = field.data().data() + g.flat_index(rect.x.begin, y);
-    packer.put_raw(row, rect.x.size());
-  }
-  if (rect.count() > 0) parcomm::detail::payload_copies_counter().add(1);
-}
-
 void pack_patch_block(parcomm::Packer& packer, const PatchView& bar,
                       grid::Rect block) {
   SENKF_REQUIRE(grid::rect_contains(bar.rect(), block),

@@ -28,15 +28,11 @@ using PatchView = grid::PatchView;
 /// are re-packed without materializing.
 void pack_patch(parcomm::Packer& packer, const PatchView& patch);
 
-/// Packs the block `rect` straight from the field's row storage — the
-/// zero-intermediate path for scattering bar slices: no `extract` Patch
-/// is ever built, and the body is copied exactly once (field rows →
+/// Packs the sub-rectangle `block` of `bar` straight from the bar's row
+/// storage (`block` must lie inside the bar's rect) — the
+/// zero-intermediate path for scattering bar slices: no extracted Patch
+/// is ever built, and the body is copied exactly once (bar rows →
 /// payload).
-void pack_field_block(parcomm::Packer& packer, const grid::Field& field,
-                      grid::Rect rect);
-
-/// Same, packing the sub-rectangle `block` of `bar` straight from the
-/// bar's row storage (`block` must lie inside the bar's rect).
 void pack_patch_block(parcomm::Packer& packer, const PatchView& bar,
                       grid::Rect block);
 
@@ -52,7 +48,7 @@ std::size_t packed_patch_size(grid::Rect rect);
 /// pack_patch of a patch holding the same values.
 std::span<double> pack_patch_slot(parcomm::Packer& packer, grid::Rect rect);
 
-/// Reads back an owning Patch written by pack_patch/pack_field_block
+/// Reads back an owning Patch written by pack_patch/pack_patch_block
 /// (one copy-out).
 grid::Patch unpack_patch(parcomm::Unpacker& unpacker);
 

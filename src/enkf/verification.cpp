@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "linalg/cholesky.hpp"
+#include "linalg/banded.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
 
@@ -39,11 +39,20 @@ InnovationStats innovation_statistics(
     s(r, r) += std_dev * std_dev;
   }
 
+  // χ² = dᵀS⁻¹d: S is dense SPD, i.e. a band of half-bandwidth m−1.
+  std::vector<double> storage(linalg::BandMatrix::storage_size(m, m - 1));
+  linalg::BandMatrix factor(storage, m, m - 1);
+  for (Index i = 0; i < m; ++i) {
+    for (Index j = 0; j <= i; ++j) factor(i, j) = s(i, j);
+  }
+  linalg::band_cholesky_factor(factor);
+  linalg::Vector solved = innovation;
+  linalg::band_cholesky_solve_in_place(factor, solved);
+
   InnovationStats stats;
   stats.observations = m;
   stats.mean_innovation = bias / static_cast<double>(m);
-  stats.chi2 = linalg::dot(innovation,
-                           linalg::CholeskyFactor(s).solve(innovation));
+  stats.chi2 = linalg::dot(innovation, solved);
   return stats;
 }
 
@@ -52,9 +61,8 @@ std::vector<std::size_t> rank_histogram(
     const obs::ObservationSet& observations, Rng& rng) {
   SENKF_REQUIRE(ensemble.size() >= 2, "rank_histogram: need >= 2 members");
   const Index n_members = ensemble.size();
-  std::vector<std::size_t> counts(n_members + 1, 0);
-
   std::vector<double> predictions(n_members);
+  std::vector<std::size_t> counts(n_members + 1, 0);
   for (Index r = 0; r < observations.size(); ++r) {
     const auto& component = observations.components()[r];
     for (Index k = 0; k < n_members; ++k) {

@@ -1,6 +1,5 @@
 #include "linalg/banded.hpp"
 
-#include <cmath>
 #include <string>
 
 #include "linalg/kernels/dispatch.hpp"
@@ -16,26 +15,12 @@ BandMatrix::BandMatrix(std::span<double> storage, Index n, Index bandwidth)
 }
 
 void band_cholesky_factor(BandMatrix& a) {
-  // Left-looking, row by row: L(i, j) needs the dot of rows i and j of L
-  // over their shared columns [max(0, i−b), j), and both row segments
-  // are contiguous in lower-band storage.
-  const auto& table = kernels::active_kernels();
-  const Index n = a.dim();
-  const Index b = a.bandwidth();
-  for (Index i = 0; i < n; ++i) {
-    const Index first = i > b ? i - b : 0;
-    const double* row_i = &a(i, first);
-    for (Index j = first; j < i; ++j) {
-      const double sum = table.dot(j - first, row_i, &a(j, first));
-      a(i, j) = (a(i, j) - sum) / a(j, j);
-    }
-    const double pivot = a(i, i) - table.dot(i - first, row_i, row_i);
-    if (!(pivot > 0.0)) {
-      throw NumericError(
-          "banded Cholesky: matrix is not positive definite (pivot " +
-          std::to_string(i) + ")");
-    }
-    a(i, i) = std::sqrt(pivot);
+  const std::ptrdiff_t pivot =
+      kernels::active_kernels().pbtrf(a.dim(), a.bandwidth(), a.data());
+  if (pivot >= 0) {
+    throw NumericError(
+        "banded Cholesky: matrix is not positive definite (pivot " +
+        std::to_string(pivot) + ")");
   }
 }
 
@@ -62,6 +47,28 @@ void band_cholesky_solve_in_place(const BandMatrix& l, Matrix& x) {
     for (Index j = i > b ? i - b : 0; j < i; ++j) {
       table.axpy(cols, -l(i, j), xi, x.row(j).data());
     }
+  }
+}
+
+void band_cholesky_solve_in_place(const BandMatrix& l, Vector& x) {
+  SENKF_REQUIRE(x.size() == l.dim(),
+                "band_cholesky_solve_in_place: length mismatch");
+  const auto& table = kernels::active_kernels();
+  const Index n = l.dim();
+  const Index b = l.bandwidth();
+  double* y = x.data();
+  // Forward: y_i = (b_i − L(i, first..i)·y[first..i)) / L(i,i), the row
+  // segment contiguous in band storage.
+  for (Index i = 0; i < n; ++i) {
+    const Index first = i > b ? i - b : 0;
+    y[i] = (y[i] - table.dot(i - first, &l(i, first), y + first)) / l(i, i);
+  }
+  // Back, column-oriented: x_i is final once divided by L(i,i); remove
+  // x_i·L(i, first..i) from the earlier entries of its band.
+  for (Index i = n; i-- > 0;) {
+    const Index first = i > b ? i - b : 0;
+    y[i] /= l(i, i);
+    table.axpy(i - first, -y[i], &l(i, first), y + first);
   }
 }
 

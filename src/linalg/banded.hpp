@@ -1,17 +1,21 @@
-// Symmetric positive-definite band solver — the system solve of the
-// stochastic analysis (paper eq. (6)).
+// Symmetric positive-definite band solver — the library's one Cholesky.
 //
-// In the expansion's row-major ordering, A = B̂⁻¹ + HᵀR⁻¹H couples two
-// points only when one is a localized predecessor of the other (an entry
-// of L, B̂⁻¹ = LᵀD⁻¹L) or when both lie in one observation's support, so
-// A(i, j) = 0 for |i − j| > b with b the wider of those two reaches.
+// Its main client is the system solve of the stochastic analysis (paper
+// eq. (6)).  In the expansion's row-major ordering, A = B̂⁻¹ + HᵀR⁻¹H
+// couples two points only when one is a localized predecessor of the
+// other (an entry of L, B̂⁻¹ = LᵀD⁻¹L) or when both lie in one
+// observation's support, so A(i, j) = 0 for |i − j| > b with b the wider
+// of those two reaches.  The small dense SPD systems — the modified-
+// Cholesky estimator's p×p regressions and the m×m χ² solve of
+// innovation_statistics — are the same solver at full bandwidth b = n−1.
+//
 // BandMatrix stores only the lower band: row i holds A(i, i−b .. i)
 // contiguously with the diagonal last; the slots left of column 0 in the
-// first b rows stay zero.  Factoring in place costs ≈ n·b² flops and the
-// N-column solve ≈ 4·n·b·N, against ≈ n³/3 + 2·n²·N for the dense
-// Cholesky on the same system.  Every inner loop is a contiguous dot or
-// axpy from the dispatched KernelTable, so the band path needs no
-// per-ISA code of its own.
+// first b rows stay zero.  Factoring in place (the table's `pbtrf`
+// kernel) costs ≈ n·b² flops and the N-column solve ≈ 4·n·b·N, against
+// ≈ n³/3 + 2·n²·N for a dense Cholesky on the same system.  Every inner
+// loop is a contiguous dot or axpy from the dispatched KernelTable, so
+// the band path needs no per-ISA code of its own.
 #pragma once
 
 #include <span>
@@ -21,7 +25,7 @@
 namespace senkf::linalg {
 
 /// Non-owning symmetric band matrix in lower-band storage over caller
-/// storage (an arena span in the analysis, a vector in tests).
+/// storage (an arena span in the analysis, a vector elsewhere).
 class BandMatrix {
  public:
   /// Doubles of storage an n×n matrix of half-bandwidth `bandwidth` needs.
@@ -37,12 +41,15 @@ class BandMatrix {
   Index dim() const { return n_; }
   Index bandwidth() const { return band_; }
 
+  /// The lower-band storage, row i at data()[i·(bandwidth()+1)].
+  double* data() { return data_; }
+
   /// Lower-band entry A(i, j): j <= i and i − j <= bandwidth().
   double& operator()(Index i, Index j) {
     SENKF_ASSERT(j <= i && i - j <= band_ && i < n_);
     return data_[i * (band_ + 1) + band_ - (i - j)];
   }
-  double operator()(Index i, Index j) const {
+  const double& operator()(Index i, Index j) const {
     SENKF_ASSERT(j <= i && i - j <= band_ && i < n_);
     return data_[i * (band_ + 1) + band_ - (i - j)];
   }
@@ -61,5 +68,9 @@ void band_cholesky_factor(BandMatrix& a);
 /// Overwrites `x` (holding B, n rows) with A⁻¹B, given the factor from
 /// band_cholesky_factor: forward L·Y = B, then back Lᵀ·X = Y.
 void band_cholesky_solve_in_place(const BandMatrix& l, Matrix& x);
+
+/// Single right-hand side: overwrites `x` (holding b, length n) with
+/// A⁻¹b — one dot per row forward, one axpy per row back.
+void band_cholesky_solve_in_place(const BandMatrix& l, Vector& x);
 
 }  // namespace senkf::linalg

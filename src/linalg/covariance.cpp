@@ -1,7 +1,5 @@
 #include "linalg/covariance.hpp"
 
-#include <cmath>
-
 #include "linalg/ops.hpp"
 
 namespace senkf::linalg {
@@ -36,32 +34,6 @@ Matrix sample_covariance(const Matrix& ensemble) {
   Matrix b = multiply_a_bt(u, u);
   scale(b, 1.0 / static_cast<double>(ensemble.cols() - 1));
   return b;
-}
-
-double gaspari_cohn(double distance, double support_radius) {
-  SENKF_REQUIRE(support_radius > 0.0, "gaspari_cohn: radius must be > 0");
-  const double z = std::abs(distance) / support_radius;
-  if (z >= 2.0) return 0.0;
-  if (z <= 1.0) {
-    return -0.25 * z * z * z * z * z + 0.5 * z * z * z * z +
-           0.625 * z * z * z - (5.0 / 3.0) * z * z + 1.0;
-  }
-  return (1.0 / 12.0) * z * z * z * z * z - 0.5 * z * z * z * z +
-         0.625 * z * z * z + (5.0 / 3.0) * z * z - 5.0 * z + 4.0 -
-         (2.0 / 3.0) / z;
-}
-
-Matrix taper_covariance(const Matrix& covariance,
-                        const std::function<double(Index, Index)>& distance,
-                        double support_radius) {
-  SENKF_REQUIRE(covariance.square(), "taper_covariance: matrix must be square");
-  Matrix tapered = covariance;
-  for (Index i = 0; i < covariance.rows(); ++i) {
-    for (Index j = 0; j < covariance.cols(); ++j) {
-      tapered(i, j) *= gaspari_cohn(distance(i, j), support_radius);
-    }
-  }
-  return tapered;
 }
 
 }  // namespace senkf::linalg

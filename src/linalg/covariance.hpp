@@ -3,13 +3,7 @@
 //   x̄ᵇ  = ensemble mean,
 //   U   = Xᵇ − x̄ᵇ ⊗ 1ᵀ   (anomalies),
 //   B   = U Uᵀ / (N − 1)  (sample background-error covariance).
-//
-// Also provides the Gaspari–Cohn compactly-supported correlation function
-// used to build synthetic-truth covariances and to taper spurious
-// long-range correlations in tests.
 #pragma once
-
-#include <functional>
 
 #include "linalg/matrix.hpp"
 
@@ -23,16 +17,5 @@ Matrix ensemble_anomalies(const Matrix& ensemble);
 
 /// B = U Uᵀ / (N − 1); forms the dense n×n matrix — test/small use only.
 Matrix sample_covariance(const Matrix& ensemble);
-
-/// Gaspari–Cohn 5th-order piecewise-rational correlation.  `distance` and
-/// `support_radius` share units; the function is exactly 0 beyond
-/// 2·support_radius and 1 at distance 0.
-double gaspari_cohn(double distance, double support_radius);
-
-/// Element-wise (Schur) product taper of a covariance with Gaspari–Cohn
-/// weights given a distance oracle d(i,j).
-Matrix taper_covariance(const Matrix& covariance,
-                        const std::function<double(Index, Index)>& distance,
-                        double support_radius);
 
 }  // namespace senkf::linalg

@@ -190,34 +190,4 @@ void symmetric_eigen_into(const Matrix& a, Vector& values, Matrix& vectors,
   }
 }
 
-namespace {
-Matrix apply_spectral(const Matrix& a, double (*f)(double), double floor,
-                      const char* who) {
-  const SymmetricEigen eig = symmetric_eigen(a);
-  const Index n = a.rows();
-  Matrix scaled = eig.vectors;  // V · f(Λ)
-  for (Index j = 0; j < n; ++j) {
-    double lambda = eig.values[j];
-    if (lambda < floor) {
-      throw NumericError(std::string(who) +
-                         ": matrix is not positive (semi-)definite");
-    }
-    const double fj = f(std::max(lambda, 0.0));
-    for (Index i = 0; i < n; ++i) scaled(i, j) *= fj;
-  }
-  return multiply_a_bt(scaled, eig.vectors);
-}
-}  // namespace
-
-Matrix spd_sqrt(const Matrix& a) {
-  return apply_spectral(
-      a, +[](double x) { return std::sqrt(x); }, -1e-10, "spd_sqrt");
-}
-
-Matrix spd_inverse_sqrt(const Matrix& a) {
-  return apply_spectral(
-      a, +[](double x) { return 1.0 / std::sqrt(x); }, 1e-14,
-      "spd_inverse_sqrt");
-}
-
 }  // namespace senkf::linalg

@@ -1,4 +1,4 @@
-// Symmetric eigendecomposition and SPD matrix functions.
+// Symmetric eigendecomposition.
 //
 // Needed by the deterministic ensemble-transform analysis, whose ensemble
 // weight matrix is the symmetric square root of an N×N SPD matrix.  The
@@ -31,12 +31,5 @@ void symmetric_eigen_into(const Matrix& a, Vector& values, Matrix& vectors,
                           Matrix& work_d, Matrix& work_v,
                           std::span<Index> order,
                           double symmetry_tol = 1e-10);
-
-/// f(A) = V f(Λ) Vᵀ for SPD A.
-/// Symmetric square root; requires all eigenvalues ≥ −tol (clamped to 0).
-Matrix spd_sqrt(const Matrix& a);
-
-/// Symmetric inverse square root; requires strictly positive eigenvalues.
-Matrix spd_inverse_sqrt(const Matrix& a);
 
 }  // namespace senkf::linalg

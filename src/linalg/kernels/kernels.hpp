@@ -7,18 +7,21 @@
 // implementation in kernels_impl.hpp over that ISA's vector policy
 // (simdvec.hpp).  Callers go through a `KernelTable` of raw-pointer
 // kernels resolved once at startup by CPUID (`dispatch.cpp`); the
-// Matrix / Vector API above it is unchanged, so every EnKF variant picks
-// up the fast kernels with zero call-site churn.
+// Matrix / Vector / BandMatrix API above it hides the choice, so every
+// EnKF variant runs the fast kernels without knowing which ISA it got.
 //
-// The table is dense-only.  The analysis's sparse operands — the
-// observation supports of H̄ and the rows of the modified-Cholesky L —
-// are walked by their owners, which call `axpy`/`dot` on the
-// ensemble-length rows those entries select; no indexed-gather kernel.
+// The table has no indexed-gather kernel.  The analysis's sparse
+// operands — the observation supports of H̄ and the rows of the
+// modified-Cholesky L — are walked by their owners, which call
+// `axpy`/`dot` on the ensemble-length rows those entries select.  The
+// table's one factorization is `pbtrf`, the band Cholesky every SPD
+// solve in the library runs (linalg/banded.hpp); a dense SPD matrix is
+// the band of half-bandwidth n−1.
 //
 // Contract shared by all implementations:
 //   * row-major storage with explicit leading dimensions (lda/ldb/ldc);
 //   * GEMM/GEMV outputs are *overwritten*, never accumulated into, and
-//     must not alias the inputs; potrf/trsm operate in place;
+//     must not alias the inputs; pbtrf operates in place;
 //   * any dimension may be zero (outputs are zero-filled);
 //   * for each output element the k-reduction runs in ascending-k order
 //     in every implementation, so scalar and SIMD kernels agree to
@@ -61,23 +64,6 @@ struct KernelTable {
   void (*gemv_t)(Index m, Index n, const double* a, Index lda,
                  const double* x, double* y);
 
-  /// Blocked in-place SPD Cholesky: overwrites the lower triangle of
-  /// A(n×n) with L such that A = L·Lᵀ.  Entries above the diagonal are
-  /// neither read nor written.  Returns the index of the first
-  /// non-positive pivot, or -1 on success.
-  std::ptrdiff_t (*potrf)(Index n, double* a, Index lda);
-
-  /// Forward triangular solve: overwrites B(n×nrhs) with X solving
-  /// L·X = B, L lower-triangular with non-zero diagonal (not checked —
-  /// wrappers validate; a zero diagonal yields inf/nan).
-  void (*trsm_lln)(Index n, Index nrhs, const double* l, Index ldl,
-                   double* b, Index ldb);
-
-  /// Backward triangular solve: overwrites B(n×nrhs) with X solving
-  /// Lᵀ·X = B.
-  void (*trsm_llt)(Index n, Index nrhs, const double* l, Index ldl,
-                   double* b, Index ldb);
-
   /// y[0..n) += alpha · x[0..n) (contiguous).
   void (*axpy)(Index n, double alpha, const double* x, double* y);
 
@@ -95,6 +81,14 @@ struct KernelTable {
 
   /// Σ x[i]·y[i] over contiguous spans (ascending-i lane-split sum).
   double (*dot)(Index n, const double* x, const double* y);
+
+  /// In-place band Cholesky (LAPACK's pbtrf): `a` holds the lower band
+  /// of an n×n SPD matrix of half-bandwidth b in lower-band storage —
+  /// row i is A(i, i−b .. i) at a[i·(b+1)], diagonal last, the slots
+  /// left of column 0 unused — and is overwritten with the factor L
+  /// (A = L·Lᵀ, same band).  Left-looking, one `dot` per entry.  Returns
+  /// the index of the first pivot that is not positive, or -1.
+  std::ptrdiff_t (*pbtrf)(Index n, Index b, double* a);
 };
 
 /// Cache-block sizes shared by every implementation.  The j/k blocking
@@ -103,9 +97,6 @@ struct KernelTable {
 /// accumulator per k-block, preserving the ascending-k order contract.
 inline constexpr Index kBlockK = 512;
 inline constexpr Index kBlockN = 512;
-
-/// Column-panel width of the blocked Cholesky (left-looking dots).
-inline constexpr Index kPotrfBlock = 64;
 
 /// The portable reference implementation (always available).
 const KernelTable& scalar_kernels();

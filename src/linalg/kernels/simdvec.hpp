@@ -63,9 +63,7 @@ constexpr Index padded_stride(Index n, Index width) {
 //   static vd loadu(const double*);
 //   static void storeu(double*, vd);
 //   static vd add/sub/mul(vd, vd);
-//   static vd div(vd, vd);
 //   static vd fmadd(vd a, vd b, vd c);   //  a*b + c
-//   static vd fnmadd(vd a, vd b, vd c);  // -a*b + c
 //   static double hsum(vd);              // lane sum (lo-to-hi pairing)
 // ---------------------------------------------------------------------------
 
@@ -84,9 +82,7 @@ struct ScalarOps {
   static vd add(vd a, vd b) { return a + b; }
   static vd sub(vd a, vd b) { return a - b; }
   static vd mul(vd a, vd b) { return a * b; }
-  static vd div(vd a, vd b) { return a / b; }
   static vd fmadd(vd a, vd b, vd c) { return a * b + c; }
-  static vd fnmadd(vd a, vd b, vd c) { return c - a * b; }
   static double hsum(vd v) { return v; }
 };
 
@@ -108,9 +104,7 @@ struct Avx2Ops {
   static vd add(vd a, vd b) { return _mm256_add_pd(a, b); }
   static vd sub(vd a, vd b) { return _mm256_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm256_mul_pd(a, b); }
-  static vd div(vd a, vd b) { return _mm256_div_pd(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return _mm256_fmadd_pd(a, b, c); }
-  static vd fnmadd(vd a, vd b, vd c) { return _mm256_fnmadd_pd(a, b, c); }
   static double hsum(vd v) {
     __m128d lo = _mm256_castpd256_pd128(v);
     const __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -139,10 +133,19 @@ struct Avx512Ops {
   static vd add(vd a, vd b) { return _mm512_add_pd(a, b); }
   static vd sub(vd a, vd b) { return _mm512_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
-  static vd div(vd a, vd b) { return _mm512_div_pd(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
-  static vd fnmadd(vd a, vd b, vd c) { return _mm512_fnmadd_pd(a, b, c); }
-  static double hsum(vd v) { return _mm512_reduce_add_pd(v); }
+  // GCC's _mm512_reduce_add_pd tree — (hi256 + lo256), (hi128 + lo128),
+  // lane 0 + lane 1 — spelled with masked extracts: the unmasked
+  // extract/cast intrinsics pass an undefined vector through, which GCC
+  // 12 reports as -Wmaybe-uninitialized.  Same tree, same bits.
+  static double hsum(vd v) {
+    const __m256d quad =
+        _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xFF, v, 1),
+                      _mm512_maskz_extractf64x4_pd(0xFF, v, 0));
+    const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
+                                    _mm256_castpd256_pd128(quad));
+    return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -165,9 +168,7 @@ struct NeonOps {
   static vd add(vd a, vd b) { return vaddq_f64(a, b); }
   static vd sub(vd a, vd b) { return vsubq_f64(a, b); }
   static vd mul(vd a, vd b) { return vmulq_f64(a, b); }
-  static vd div(vd a, vd b) { return vdivq_f64(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return vfmaq_f64(c, a, b); }
-  static vd fnmadd(vd a, vd b, vd c) { return vfmsq_f64(c, a, b); }
   static double hsum(vd v) {
     return vgetq_lane_f64(v, 0) + vgetq_lane_f64(v, 1);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/kernels/dispatch.hpp"
 
 namespace senkf::linalg {
@@ -54,31 +53,26 @@ ModifiedCholesky estimate_inverse_covariance_scratch(
     }
 
     // Normal equations of the regression x_i ~ x_pred:
-    //   (Z Zᵀ + ridge I) beta = Z x_iᵀ, with Z the |pred|×N predecessor rows.
+    //   (Z Zᵀ + ridge·(N−1)·I) beta = Z x_iᵀ, with Z the |pred|×N
+    // predecessor rows.  The p×p system is SPD, so it goes to the band
+    // Cholesky at full bandwidth p−1: lower triangle only, one dot per
+    // entry, factor and single-RHS solve in place on the arena.
     const Index p = pred.size();
-    const Index pstride = Matrix::padded_stride(p);
-    auto gram_storage = arena.allocate_span<double>(p * pstride);
+    auto gram_storage =
+        arena.allocate_span<double>(BandMatrix::storage_size(p, p - 1));
     std::fill(gram_storage.begin(), gram_storage.end(), 0.0);
-    Matrix gram = Matrix::scratch(gram_storage, p, p, pstride);
-    auto lfac_storage = arena.allocate_span<double>(p * pstride);
-    std::fill(lfac_storage.begin(), lfac_storage.end(), 0.0);
-    Matrix lfac = Matrix::scratch(lfac_storage, p, p, pstride);
+    BandMatrix gram(gram_storage, p, p - 1);
     Vector beta = Vector::scratch(arena.allocate_span<double>(p));
     for (Index a = 0; a < p; ++a) {
       const auto za = anomalies.row(pred[a]);
-      for (Index b = a; b < p; ++b) {
-        const auto zb = anomalies.row(pred[b]);
-        const double sum = table.dot(ens, za.data(), zb.data());
-        gram(a, b) = sum;
-        gram(b, a) = sum;
+      for (Index c = 0; c <= a; ++c) {
+        gram(a, c) = table.dot(ens, za.data(), anomalies.row(pred[c]).data());
       }
       gram(a, a) += ridge * denom;
       beta[a] = table.dot(ens, za.data(), xi.data());
     }
-    // Factor + in-place solve: the same kernel sequence CholeskyFactor /
-    // its solve() run, minus their allocations.
-    cholesky_factor_into(gram, lfac);
-    cholesky_solve_in_place(lfac, beta);
+    band_cholesky_factor(gram);
+    band_cholesky_solve_in_place(gram, beta);
 
     // Residual variance and the negated coefficients into row i of L:
     // fitted = Σ_a beta_a · z_a accumulated by axpy, rss = ‖x_i − fitted‖².

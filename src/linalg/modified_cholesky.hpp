@@ -55,10 +55,17 @@ class PredecessorOracle {
 /// neighbourhood is larger than the ensemble size (the situation that
 /// motivates the method).
 ///
+/// Each row's regression solves its p×p normal equations (p = |pred(i)|)
+/// with the band Cholesky of banded.hpp at full bandwidth p−1, factored
+/// in place.  A row whose system is not positive definite — e.g.
+/// linearly dependent predecessor rows with ridge 0 — throws
+/// NumericError.
+///
 /// Allocation-free: the factor's storage (L's rows and d) is drawn from
 /// `arena` and lives until the caller rewinds past this call; the
-/// per-row temporaries (gram, rhs, factor) are released before return.
-/// Copying the result deep-copies it out of the arena.
+/// per-row temporaries (the p×p system in band storage and the
+/// coefficients) are released before return.  Copying the result
+/// deep-copies it out of the arena.
 ModifiedCholesky estimate_inverse_covariance_scratch(
     const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
     support::Arena& arena);

@@ -26,7 +26,6 @@ LuFactor::LuFactor(const Matrix& a) : lu_(a) {
     if (best != k) {
       for (Index j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(best, j));
       std::swap(pivot_[k], pivot_[best]);
-      pivot_sign_ = -pivot_sign_;
     }
     const double pivot = lu_(k, k);
     for (Index i = k + 1; i < n; ++i) {
@@ -61,16 +60,6 @@ Matrix LuFactor::solve(const Matrix& b) const {
   Matrix x(b.rows(), b.cols());
   for (Index j = 0; j < b.cols(); ++j) x.set_column(j, solve(b.column(j)));
   return x;
-}
-
-double LuFactor::determinant() const {
-  double det = pivot_sign_;
-  for (Index i = 0; i < dim(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Vector solve_general(const Matrix& a, const Vector& b) {
-  return LuFactor(a).solve(b);
 }
 
 Matrix inverse(const Matrix& a) {

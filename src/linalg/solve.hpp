@@ -1,8 +1,8 @@
 // General dense solver (LU with partial pivoting).
 //
-// The EnKF path itself only needs SPD solves (cholesky.hpp); LU is kept for
-// tests, diagnostics and the observation-operator pseudo-inverse utilities,
-// and as an independent oracle to validate the Cholesky solver against.
+// The library's SPD systems all go to the band Cholesky (banded.hpp).  LU
+// is a different algorithm, which is why it stays: tests use it as the
+// independent oracle the Cholesky solves are checked against.
 #pragma once
 
 #include <vector>
@@ -25,17 +25,10 @@ class LuFactor {
   /// Solves A X = B column-wise.
   Matrix solve(const Matrix& b) const;
 
-  /// Determinant (sign-corrected product of U's diagonal).
-  double determinant() const;
-
  private:
   Matrix lu_;                 // packed L (unit diagonal) and U
   std::vector<Index> pivot_;  // row permutation
-  int pivot_sign_ = 1;
 };
-
-/// Convenience one-shot solve of a general square system.
-Vector solve_general(const Matrix& a, const Vector& b);
 
 /// Dense inverse via LU (test/diagnostic use only).
 Matrix inverse(const Matrix& a);

@@ -12,7 +12,7 @@
 #include "support/table.hpp"      // aligned table printing
 
 // Linear algebra
-#include "linalg/cholesky.hpp"
+#include "linalg/banded.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"

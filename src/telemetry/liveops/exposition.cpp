@@ -22,16 +22,18 @@ std::string format_bound(double bound) {
 }  // namespace
 
 std::string sanitize_metric_name(std::string_view name) {
+  // An empty name becomes "_"; a leading digit gets a "_" prefix.  Both
+  // are decided up front, so the name is built by appending only.
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  if (name.empty() ||
+      std::isdigit(static_cast<unsigned char>(name.front())) != 0) {
+    out.push_back('_');
+  }
   for (const char c : name) {
     const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
                     c == '_' || c == ':';
     out.push_back(ok ? c : '_');
-  }
-  if (out.empty()) out = "_";
-  if (std::isdigit(static_cast<unsigned char>(out.front())) != 0) {
-    out.insert(out.begin(), '_');
   }
   return out;
 }

@@ -4,10 +4,11 @@
 // analysis (allocating linalg API, per-call LocalObservations, owning
 // temporaries, the dense m̄×n̄ H̄ rebuilt by obs::testing::dense_h, and
 // for the stochastic scheme the dense n̄×n̄ system B̂⁻¹ + HᵀR⁻¹H solved
-// by dense Cholesky).  Every test compares the
-// production entry points against it — across analysis kinds, inflation
-// settings, reused workspaces of varying shapes, threads, and the wire
-// framing:
+// by dense LU — an algorithm the library does not use, so the oracle
+// shares no solver code with the band Cholesky under test).  Every test
+// compares the production entry points against it — across analysis
+// kinds, inflation settings, reused workspaces of varying shapes,
+// threads, and the wire framing:
 //   * the deterministic transform must match it bitwise on point
 //     stations (same gather, same kernel sequence on same-stride
 //     scratch, same projection; a one-point row of H̄ gives the same
@@ -35,10 +36,10 @@
 #include "enkf/patch_wire.hpp"
 #include "expansion_predecessors.hpp"
 #include "grid/synthetic.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/ops.hpp"
+#include "linalg/solve.hpp"
 #include "obs/local_obs_cache.hpp"
 #include "obs/perturbed.hpp"
 #include "parcomm/wire.hpp"
@@ -264,7 +265,7 @@ AnalysisResult reference_local_analysis(
       linalg::weighted_residual(local_ys, linalg::multiply(h, xb), rinv);
   const linalg::Matrix rhs = linalg::multiply_at_b(h, innovations);
 
-  const linalg::Matrix delta = linalg::solve_spd(system, rhs);
+  const linalg::Matrix delta = linalg::LuFactor(system).solve(rhs);
   linalg::axpy(1.0, delta, xb);
 
   return reference_project(xb, target, expansion, local.size());
@@ -303,12 +304,12 @@ void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
   }
 }
 
-// Banded vs dense solve of the stochastic system: max over a member's
-// points of |got − want|, relative to the member's largest |want|.
-// Measured over every case in this file: at most 3.5e-11 (scalar
-// kernels), 4.4e-11 (AVX2), 7.3e-11 (AVX-512).  That is the system's
-// conditioning, not the band solver's accuracy: the reference's own
-// dense Cholesky and a dense LU solve of the same system differ by up to
+// Banded Cholesky vs dense LU solve of the stochastic system: max over a
+// member's points of |got − want|, relative to the member's largest
+// |want|.  Measured over every case in this file: at most 2.9e-11
+// (scalar kernels), 3.0e-11 (AVX2), 6.9e-11 (AVX-512).  That is the
+// system's conditioning, not the band solver's accuracy: a dense
+// Cholesky and a dense LU solve of the same system differ by up to
 // 3.6e-11 on these cases.  The bound keeps ~14× headroom over the worst
 // measurement.
 constexpr double kStochasticTolerance = 1e-9;

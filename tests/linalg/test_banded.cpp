@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/ops.hpp"
+#include "linalg/solve.hpp"
 #include "support/rng.hpp"
 
 namespace senkf::linalg {
@@ -49,6 +49,16 @@ BandMatrix to_band(const Matrix& a, Index band, std::vector<double>& storage) {
   return out;
 }
 
+// The dense lower triangle of a factor held in band storage.
+Matrix dense_lower(const BandMatrix& l) {
+  Matrix out(l.dim(), l.dim(), 0.0);
+  const Index b = l.bandwidth();
+  for (Index i = 0; i < l.dim(); ++i) {
+    for (Index j = i > b ? i - b : 0; j <= i; ++j) out(i, j) = l(i, j);
+  }
+  return out;
+}
+
 double max_relative_diff(const Matrix& got, const Matrix& want) {
   double scale = 0.0;
   for (Index i = 0; i < want.rows(); ++i) {
@@ -56,6 +66,12 @@ double max_relative_diff(const Matrix& got, const Matrix& want) {
       scale = std::max(scale, std::abs(want(i, j)));
     }
   }
+  return max_abs_diff(got, want) / scale;
+}
+
+double max_relative_diff(const Vector& got, const Vector& want) {
+  double scale = 0.0;
+  for (const double v : want) scale = std::max(scale, std::abs(v));
   return max_abs_diff(got, want) / scale;
 }
 
@@ -67,7 +83,9 @@ struct BandCase {
 
 class BandedCholesky : public ::testing::TestWithParam<BandCase> {};
 
-TEST_P(BandedCholesky, FactorAndSolveMatchDenseCholesky) {
+// The oracle is LU with partial pivoting (linalg/solve): a different
+// algorithm from the one under test, so agreement is not shared code.
+TEST_P(BandedCholesky, FactorAndSolveMatchLuOracle) {
   const BandCase c = GetParam();
   Rng rng(100 + c.n * 7 + c.band * 3 + c.rhs);
   const Matrix a = random_banded_spd(c.n, c.band, rng);
@@ -76,20 +94,44 @@ TEST_P(BandedCholesky, FactorAndSolveMatchDenseCholesky) {
   std::vector<double> storage;
   BandMatrix band = to_band(a, c.band, storage);
   band_cholesky_factor(band);
-  const CholeskyFactor dense(a);
-  for (Index i = 0; i < c.n; ++i) {
-    for (Index j = i > c.band ? i - c.band : 0; j <= i; ++j) {
-      EXPECT_NEAR(band(i, j), dense.lower()(i, j),
-                  1e-12 * std::abs(dense.lower()(i, i)))
-          << "L(" << i << ", " << j << ")";
-    }
-  }
+  // L·Lᵀ reproduces A, band and zeros outside it.
+  const Matrix l = dense_lower(band);
+  EXPECT_LT(max_relative_diff(multiply_a_bt(l, l), a), 1e-13);
 
+  const LuFactor lu(a);
   Matrix x = b;
   band_cholesky_solve_in_place(band, x);
-  EXPECT_LT(max_relative_diff(x, dense.solve(b)), 1e-12);
+  EXPECT_LT(max_relative_diff(x, lu.solve(b)), 1e-12);
   // And it really solves the system.
   EXPECT_LT(max_relative_diff(multiply(a, x), b), 1e-12);
+
+  // Single right-hand side: each column of B through the vector solve
+  // matches the same column of the matrix solve and the oracle.
+  for (Index col = 0; col < c.rhs; ++col) {
+    Vector xv = b.column(col);
+    band_cholesky_solve_in_place(band, xv);
+    EXPECT_LT(max_relative_diff(xv, x.column(col)), 1e-13) << "col " << col;
+    EXPECT_LT(max_relative_diff(xv, lu.solve(b.column(col))), 1e-12)
+        << "col " << col;
+  }
+}
+
+TEST(BandedCholeskyKnown, FactorsATwoByTwoExactly) {
+  // A = L Lᵀ for L = [[2,0],[1,3]] → A = [[4,2],[2,10]], at full
+  // bandwidth, and A x = b for b = A·[1, −1] = [2, −8].
+  std::vector<double> storage(BandMatrix::storage_size(2, 1), 0.0);
+  BandMatrix a(storage, 2, 1);
+  a(0, 0) = 4.0;
+  a(1, 0) = 2.0;
+  a(1, 1) = 10.0;
+  band_cholesky_factor(a);
+  EXPECT_EQ(a(0, 0), 2.0);
+  EXPECT_EQ(a(1, 0), 1.0);
+  EXPECT_EQ(a(1, 1), 3.0);
+  Vector x{2.0, -8.0};
+  band_cholesky_solve_in_place(a, x);
+  EXPECT_NEAR(x[0], 1.0, 1e-15);
+  EXPECT_NEAR(x[1], -1.0, 1e-15);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,6 +175,8 @@ TEST(BandedCholeskyErrors, RejectsBadShapes) {
   for (Index i = 0; i < 4; ++i) ok(i, i) = 1.0;
   Matrix wrong(3, 2);
   EXPECT_THROW(band_cholesky_solve_in_place(ok, wrong), InvalidArgument);
+  Vector short_rhs(3);
+  EXPECT_THROW(band_cholesky_solve_in_place(ok, short_rhs), InvalidArgument);
 }
 
 }  // namespace

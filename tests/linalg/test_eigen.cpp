@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "linalg/ops.hpp"
 #include "support/rng.hpp"
@@ -19,16 +18,6 @@ Matrix random_symmetric(Index n, Rng& rng) {
     }
   }
   return m;
-}
-
-Matrix random_spd(Index n, Rng& rng) {
-  Matrix m(n, n);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < n; ++j) m(i, j) = rng.normal();
-  }
-  Matrix a = multiply_a_bt(m, m);
-  for (Index i = 0; i < n; ++i) a(i, i) += 0.5;
-  return a;
 }
 
 TEST(SymmetricEigen, KnownTwoByTwo) {
@@ -94,40 +83,6 @@ TEST(SymmetricEigen, RejectsNonSymmetric) {
   const Matrix a{{1.0, 2.0}, {0.0, 1.0}};
   EXPECT_THROW(symmetric_eigen(a), InvalidArgument);
   EXPECT_THROW(symmetric_eigen(Matrix(2, 3)), InvalidArgument);
-}
-
-TEST(SpdSqrt, SquaresBackToMatrix) {
-  Rng rng(5);
-  const Matrix a = random_spd(9, rng);
-  const Matrix root = spd_sqrt(a);
-  EXPECT_TRUE(is_symmetric(root, 1e-10));
-  EXPECT_LT(max_abs_diff(multiply(root, root), a), 1e-9);
-}
-
-TEST(SpdSqrt, IdentityFixedPoint) {
-  const Matrix id = Matrix::identity(4);
-  EXPECT_LT(max_abs_diff(spd_sqrt(id), id), 1e-12);
-}
-
-TEST(SpdSqrt, NegativeDefiniteThrows) {
-  const Matrix a{{-1.0, 0.0}, {0.0, -2.0}};
-  EXPECT_THROW(spd_sqrt(a), NumericError);
-}
-
-TEST(SpdInverseSqrt, InvertsSquareRoot) {
-  Rng rng(6);
-  const Matrix a = random_spd(7, rng);
-  const Matrix inv_root = spd_inverse_sqrt(a);
-  const Matrix should_be_identity =
-      multiply(inv_root, multiply(a, inv_root));
-  EXPECT_LT(max_abs_diff(should_be_identity, Matrix::identity(7)), 1e-8);
-}
-
-TEST(SpdInverseSqrt, SingularThrows) {
-  Matrix a(3, 3, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;  // a(2,2) = 0 → singular
-  EXPECT_THROW(spd_inverse_sqrt(a), NumericError);
 }
 
 }  // namespace

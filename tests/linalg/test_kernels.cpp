@@ -3,8 +3,8 @@
 // family additionally with a naive reference) to 1e-12 relative
 // tolerance, over adversarial shapes — zero dimensions, single elements,
 // extents straddling the vector width (width−1 / width / width+1 for
-// every supported width), the kPotrfBlock boundary and the cache-block
-// boundaries — in both the compact (ld == n) and the padded
+// every supported width), band widths from diagonal to full, and the
+// cache-block boundaries — in both the compact (ld == n) and the padded
 // (ld == padded_stride(n, width), pad entries zero) layouts.  The ctest
 // registration reruns the linalg and integration suites under every
 // SENKF_KERNEL value, so the scalar fallback path is exercised even on
@@ -200,84 +200,65 @@ TEST(Kernels, GemmFamilyMatchesReferenceOnEveryTable) {
 }
 
 // --------------------------------------------------------------------- //
-// Cholesky + triangular solves vs the scalar table.
+// Band Cholesky vs the scalar table.
 // --------------------------------------------------------------------- //
 
-/// A well-conditioned SPD test matrix in a Buf with leading dim `ld`.
-Buf make_spd(Index n, Index ld, std::uint64_t seed) {
+/// A random SPD band matrix (strictly diagonally dominant) of
+/// half-bandwidth b in lower-band storage: row i at [i·(b+1)], diagonal
+/// last, the slots left of column 0 zero.
+std::vector<double> make_band_spd(Index n, Index b, std::uint64_t seed) {
   Rng rng(seed);
-  Buf z(n, n, n, &rng);
-  Buf a(n, n, ld);
+  const Index ld = b + 1;
+  std::vector<double> a(n * ld, 0.0);
+  std::vector<double> off(n, 0.0);
   for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < n; ++j) {
-      double sum = i == j ? static_cast<double>(n) + 1.0 : 0.0;
-      for (Index kk = 0; kk < n; ++kk) sum += z.at(i, kk) * z.at(j, kk);
-      a.v[i * ld + j] = sum;
+    for (Index j = i > b ? i - b : 0; j < i; ++j) {
+      const double v = rng.normal();
+      a[i * ld + b - (i - j)] = v;
+      off[i] += std::abs(v);
+      off[j] += std::abs(v);
     }
   }
+  for (Index i = 0; i < n; ++i) a[i * ld + b] = off[i] + 1.0;
   return a;
 }
 
-void check_potrf_trsm(const KernelTable& table, const KernelTable& scalar,
-                      bool padded) {
-  for (const Index n : kLengths) {
-    const Index ld = std::max<Index>(ld_for(table, n, padded), 1);
-    Buf a = make_spd(n, ld, 31 + n);
-    Buf a_ref = make_spd(n, std::max<Index>(n, 1), 31 + n);
-    const std::ptrdiff_t info = table.potrf(n, a.data(), a.ld);
-    const std::ptrdiff_t info_ref = scalar.potrf(n, a_ref.data(), a_ref.ld);
-    ASSERT_EQ(info, -1) << table.name << " potrf failed at n=" << n;
-    ASSERT_EQ(info_ref, -1);
-    // Compare the lower triangles only (potrf never touches the upper).
-    for (Index i = 0; i < n; ++i) {
-      for (Index j = 0; j <= i; ++j) {
-        const double g = a.at(i, j);
-        const double w = a_ref.at(i, j);
-        const double scale = std::max({1.0, std::abs(g), std::abs(w)});
-        EXPECT_NEAR(g, w, kRelTol * scale)
-            << table.name << " potrf mismatch at (" << i << "," << j
-            << ") n=" << n;
-      }
-    }
-
-    for (const Index nrhs : {Index{1}, Index{5}, Index{8}, Index{17}}) {
-      Rng rng(77 + n + nrhs);
-      const Index ldb = std::max<Index>(ld_for(table, nrhs, padded), 1);
-      Buf b(n, nrhs, ldb, &rng);
-      Buf b_ref(n, nrhs, std::max<Index>(nrhs, 1));
-      for (Index i = 0; i < n; ++i) {
-        for (Index j = 0; j < nrhs; ++j) b_ref.v[i * b_ref.ld + j] = b.at(i, j);
-      }
-      table.trsm_lln(n, nrhs, a.data(), a.ld, b.data(), b.ld);
-      scalar.trsm_lln(n, nrhs, a_ref.data(), a_ref.ld, b_ref.data(),
-                      b_ref.ld);
-      expect_close(b, b_ref, "trsm_lln");
-      table.trsm_llt(n, nrhs, a.data(), a.ld, b.data(), b.ld);
-      scalar.trsm_llt(n, nrhs, a_ref.data(), a_ref.ld, b_ref.data(),
-                      b_ref.ld);
-      expect_close(b, b_ref, "trsm_llt");
-    }
-  }
-}
-
-TEST(Kernels, PotrfAndTrsmAgreeWithScalarOnEveryTable) {
+TEST(Kernels, PbtrfAgreesWithScalarOnEveryTable) {
   const KernelTable& scalar = scalar_kernels();
   for (const KernelTable* table : available_tables()) {
     SCOPED_TRACE(table->name);
-    check_potrf_trsm(*table, scalar, /*padded=*/false);
-    check_potrf_trsm(*table, scalar, /*padded=*/true);
+    for (const Index n : kLengths) {
+      // Diagonal, tridiagonal, a narrow band and the full (dense) band.
+      for (const Index b : {Index{0}, Index{1}, Index{4}, n - 1}) {
+        if (n == 0 ? b != 0 : b >= n) continue;
+        std::vector<double> a = make_band_spd(n, b, 31 + n * 5 + b);
+        std::vector<double> a_ref = a;
+        ASSERT_EQ(table->pbtrf(n, b, a.data()), -1) << "n=" << n << " b=" << b;
+        ASSERT_EQ(scalar.pbtrf(n, b, a_ref.data()), -1);
+        for (Index e = 0; e < a.size(); ++e) {
+          const double scale =
+              std::max({1.0, std::abs(a[e]), std::abs(a_ref[e])});
+          EXPECT_NEAR(a[e], a_ref[e], kRelTol * scale)
+              << "pbtrf mismatch at n=" << n << " b=" << b << " slot " << e;
+        }
+      }
+    }
   }
 }
 
-TEST(Kernels, PotrfReportsFirstBadPivotOnEveryTable) {
+TEST(Kernels, PbtrfReportsFirstBadPivotOnEveryTable) {
   for (const KernelTable* table : available_tables()) {
     SCOPED_TRACE(table->name);
     // Indefinite matrix: factorization must stop at the first
-    // non-positive pivot and report its index.
-    Buf a = make_spd(9, 9, 5);
-    a.v[4 * 9 + 4] = -1e6;  // poison pivot 4
-    const std::ptrdiff_t info = table->potrf(9, a.data(), 9);
-    EXPECT_EQ(info, 4);
+    // non-positive pivot and report its index, at a narrow band and at
+    // the full one.
+    for (const Index b : {Index{3}, Index{8}}) {
+      std::vector<double> a = make_band_spd(9, b, 5);
+      a[4 * (b + 1) + b] = -1e6;  // poison pivot 4
+      EXPECT_EQ(table->pbtrf(9, b, a.data()), 4) << "b=" << b;
+      std::vector<double> zero(9 * (b + 1), 0.0);
+      EXPECT_EQ(table->pbtrf(9, b, zero.data()), 0) << "b=" << b;
+    }
   }
 }
 

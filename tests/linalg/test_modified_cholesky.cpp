@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "dense_factor.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/banded.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/solve.hpp"
@@ -19,6 +19,18 @@ using testing::banded_predecessors;
 using testing::dense_inverse_covariance;
 using testing::dense_l;
 using testing::estimate_inverse_covariance;
+
+// The band Cholesky at full bandwidth on dense symmetric `a`: throws
+// NumericError unless `a` is SPD.
+void cholesky_full_band(const Matrix& a) {
+  const Index n = a.rows();
+  std::vector<double> storage(BandMatrix::storage_size(n, n - 1), 0.0);
+  BandMatrix band(storage, n, n - 1);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j <= i; ++j) band(i, j) = a(i, j);
+  }
+  band_cholesky_factor(band);
+}
 
 // Ensemble whose rows follow an AR(1)-like chain so that banded
 // predecessors are the statistically correct neighbourhood.
@@ -88,7 +100,7 @@ TEST(ModifiedCholesky, InverseCovarianceIsSpd) {
                                               banded_predecessors(4), 1e-6);
   const Matrix binv = dense_inverse_covariance(mc);
   EXPECT_TRUE(is_symmetric(binv, 1e-10));
-  EXPECT_NO_THROW(CholeskyFactor{binv});  // SPD iff Cholesky succeeds
+  EXPECT_NO_THROW(cholesky_full_band(binv));  // SPD iff Cholesky succeeds
 }
 
 TEST(ModifiedCholesky, WellDefinedWhenNeighbourhoodExceedsEnsemble) {
@@ -97,7 +109,7 @@ TEST(ModifiedCholesky, WellDefinedWhenNeighbourhoodExceedsEnsemble) {
   const Matrix ensemble = ar1_ensemble(40, 8, 0.9, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(20), 1e-4);
-  EXPECT_NO_THROW(CholeskyFactor{dense_inverse_covariance(mc)});
+  EXPECT_NO_THROW(cholesky_full_band(dense_inverse_covariance(mc)));
 }
 
 TEST(ModifiedCholesky, BandAssemblyMatchesDenseFormula) {
@@ -159,6 +171,17 @@ TEST(ModifiedCholesky, InvalidInputsThrow) {
   const auto bad = [](Index) { return std::vector<Index>{5}; };
   Matrix u(3, 5, 1.0);
   EXPECT_THROW(estimate_inverse_covariance(u, bad), InvalidArgument);
+}
+
+TEST(ModifiedCholesky, SingularRegressionThrows) {
+  // All-zero anomalies and no ridge: row 1 regresses on row 0, and its
+  // normal equations are the 1×1 zero matrix, which is not positive
+  // definite — the estimator must say so rather than divide by zero.
+  const Matrix u(4, 5, 0.0);
+  EXPECT_THROW(estimate_inverse_covariance(u, banded_predecessors(2), 0.0),
+               NumericError);
+  // The ridge makes the same rows well-posed.
+  EXPECT_NO_THROW(estimate_inverse_covariance(u, banded_predecessors(2), 1e-6));
 }
 }  // namespace
 }  // namespace senkf::linalg
