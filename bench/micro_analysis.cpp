@@ -1,8 +1,10 @@
 // Micro-benchmarks of the local analysis kernel (google-benchmark):
 // stochastic modified-Cholesky (P-EnKF's scheme, eq. (6)) vs the
 // deterministic ensemble transform, across expansion sizes and ensemble
-// sizes.  These are the per-stage compute costs the "c" constant of the
-// cost model abstracts.  Every entry runs local_analysis_packed, the
+// sizes, plus a halo sweep of the wide, short expansions S-EnKF's layers
+// produce, where the stochastic band is numbered along the short axis.
+// These are the per-stage compute costs the "c" constant of the cost
+// model abstracts.  Every entry runs local_analysis_packed, the
 // entry point the parallel engines call: one workspace reused across
 // iterations, results projected straight into a pooled wire payload.
 // Each entry also reports patches/sec (items_per_second) and a
@@ -16,6 +18,7 @@
 #include "enkf/local_analysis.hpp"
 #include "enkf/patch_wire.hpp"
 #include "grid/synthetic.hpp"
+#include "linalg/covariance.hpp"
 #include "obs/perturbed.hpp"
 #include "parcomm/wire.hpp"
 #include "telemetry/liveops/profiler.hpp"
@@ -33,8 +36,8 @@ struct Fixture {
   std::vector<grid::PatchView> background;  ///< views of the member fields
   std::vector<grid::Index> member_ids;
 
-  Fixture(grid::Index side, grid::Index members)
-      : mesh(side, side),
+  Fixture(grid::Index nx, grid::Index ny, grid::Index members)
+      : mesh(nx, ny),
         scenario(make_scenario(mesh, members)),
         observations(make_obs(mesh, scenario.truth)),
         ys(obs::perturbed_observations(observations, members, Rng(3))),
@@ -59,13 +62,13 @@ struct Fixture {
   }
 };
 
-void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
-  const auto side = static_cast<grid::Index>(state.range(0));
-  const auto members = static_cast<grid::Index>(state.range(1));
-  const Fixture fixture(side, members);
+/// Runs the kernel on the whole nx×ny mesh of `fixture` as one expansion.
+void run_kernel(benchmark::State& state, const Fixture& fixture,
+                enkf::AnalysisKind kind, grid::Halo halo) {
+  const grid::Index members = fixture.member_ids.size();
   enkf::AnalysisOptions options;
   options.kind = kind;
-  options.halo = grid::Halo{2, 1};
+  options.halo = halo;
   const grid::Rect rect = fixture.mesh.bounds();
   const std::size_t bytes =
       members * (sizeof(std::uint64_t) + enkf::packed_patch_size(rect));
@@ -97,11 +100,18 @@ void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
       registry.counter_value("analysis.alloc.events") - allocs0);
   state.SetItemsProcessed(state.iterations());  // one patch per iteration
   state.counters["allocs_per_patch"] = patches > 0 ? allocs / patches : 0.0;
-  state.SetLabel(std::to_string(side * side) + " points");
+  state.SetLabel(std::to_string(rect.count()) + " points");
+}
+
+/// Square side×side expansion at halo (2,1); args {side, members}.
+void run_square(benchmark::State& state, enkf::AnalysisKind kind) {
+  const auto side = static_cast<grid::Index>(state.range(0));
+  const auto members = static_cast<grid::Index>(state.range(1));
+  run_kernel(state, Fixture(side, side, members), kind, grid::Halo{2, 1});
 }
 
 void BM_StochasticModifiedCholesky(benchmark::State& state) {
-  run_kernel(state, enkf::AnalysisKind::kStochasticModifiedCholesky);
+  run_square(state, enkf::AnalysisKind::kStochasticModifiedCholesky);
 }
 BENCHMARK(BM_StochasticModifiedCholesky)
     ->Args({8, 10})
@@ -109,8 +119,52 @@ BENCHMARK(BM_StochasticModifiedCholesky)
     ->Args({16, 10})
     ->Args({12, 40});
 
+// Halo sweep over layer expansions; args {width, height, halo ξ = η,
+// members}.  Layers make each expansion wide and short: numbench
+// stoch-warm's is 74×11 at halo (1,1), and a 480×240 grid on 4×1
+// sub-domains in 16 layers gives 122×17.  Row-major numbering would tie
+// the band to the width; the kernel numbers these y fastest.  The band
+// counters are the half-bandwidths the kernel measures under each
+// numbering (b_row_major, b_y_fastest) and the one it solves with (b).
+void BM_StochasticLayerExpansion(benchmark::State& state) {
+  const auto width = static_cast<grid::Index>(state.range(0));
+  const auto height = static_cast<grid::Index>(state.range(1));
+  const auto reach = static_cast<grid::Index>(state.range(2));
+  const auto members = static_cast<grid::Index>(state.range(3));
+  const grid::Halo halo{reach, reach};
+  const Fixture fixture(width, height, members);
+
+  const grid::Rect rect = fixture.mesh.bounds();
+  linalg::Matrix xb(rect.count(), members);
+  for (grid::Index k = 0; k < members; ++k) {
+    const auto values = fixture.background[k].values();
+    for (grid::Index i = 0; i < rect.count(); ++i) xb(i, k) = values[i];
+  }
+  support::Arena arena;
+  enkf::ExpansionPredecessorOracle oracle(rect, halo);
+  const linalg::ModifiedCholesky binv =
+      linalg::estimate_inverse_covariance_scratch(
+          linalg::ensemble_anomalies(xb), oracle, 1e-6, arena);
+  const obs::LocalObservations local(fixture.observations, rect);
+  const enkf::BandNumbering numbering =
+      enkf::choose_band_numbering(rect, binv.l, local, arena);
+
+  run_kernel(state, fixture, enkf::AnalysisKind::kStochasticModifiedCholesky,
+             halo);
+  state.counters["b_row_major"] =
+      static_cast<double>(numbering.row_major_bandwidth);
+  state.counters["b_y_fastest"] =
+      static_cast<double>(numbering.y_fastest_bandwidth);
+  state.counters["b"] = static_cast<double>(numbering.bandwidth());
+}
+BENCHMARK(BM_StochasticLayerExpansion)
+    ->Args({74, 11, 1, 40})
+    ->Args({122, 17, 1, 40})
+    ->Args({122, 17, 2, 40})
+    ->Args({122, 17, 3, 40});
+
 void BM_DeterministicTransform(benchmark::State& state) {
-  run_kernel(state, enkf::AnalysisKind::kDeterministicTransform);
+  run_square(state, enkf::AnalysisKind::kDeterministicTransform);
 }
 BENCHMARK(BM_DeterministicTransform)
     ->Args({8, 10})
@@ -136,7 +190,7 @@ void run_profile_overhead(benchmark::State& state, bool profiled) {
     // the full commit path, not just the timer delivery.
     const telemetry::TraceSpan span(telemetry::Category::kUpdate,
                                     "micro_profile_bench");
-    run_kernel(state, enkf::AnalysisKind::kDeterministicTransform);
+    run_square(state, enkf::AnalysisKind::kDeterministicTransform);
   }
   if (profiled) {
     state.counters["samples"] = static_cast<double>(

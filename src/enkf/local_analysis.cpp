@@ -8,6 +8,7 @@
 #include "enkf/patch_wire.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/covariance.hpp"
+#include "linalg/kernels/dispatch.hpp"
 #include "linalg/ops.hpp"
 #include "obs/local_obs_cache.hpp"
 #include "telemetry/metrics.hpp"
@@ -34,6 +35,31 @@ std::span<const linalg::Index> ExpansionPredecessorOracle::predecessors(
     }
   }
   return buffer.first(count);
+}
+
+BandNumbering choose_band_numbering(grid::Rect expansion,
+                                    const linalg::SparseUnitLower& l,
+                                    const obs::LocalObservations& local,
+                                    support::Arena& arena) {
+  const Index width = expansion.x.size();
+  const Index height = expansion.y.size();
+  const Index n_bar = width * height;
+  auto row_major = arena.allocate_span<Index>(n_bar);
+  auto y_fastest = arena.allocate_span<Index>(n_bar);
+  for (Index y = 0; y < height; ++y) {
+    for (Index x = 0; x < width; ++x) {
+      row_major[y * width + x] = y * width + x;
+      y_fastest[y * width + x] = x * height + y;
+    }
+  }
+  BandNumbering out;
+  out.row_major_bandwidth =
+      std::max(l.bandwidth(row_major), local.h_bandwidth(row_major));
+  out.y_fastest_bandwidth =
+      std::max(l.bandwidth(y_fastest), local.h_bandwidth(y_fastest));
+  out.y_fastest = out.y_fastest_bandwidth < out.row_major_bandwidth;
+  out.band_index = out.y_fastest ? y_fastest : row_major;
+  return out;
 }
 
 namespace {
@@ -109,8 +135,9 @@ LoadedEnsemble load_ensemble(std::span<const grid::PatchView> background,
 
 /// Stochastic modified-Cholesky update: returns Xᵃ on the expansion
 /// (the inflated background updated in place by δX).  The system
-/// A = B̂⁻¹ + HᵀR⁻¹H is assembled straight into band storage and solved
-/// there — ≈ n̄·b² + 4·n̄·b·N flops, no n̄×n̄ matrix anywhere.
+/// A = B̂⁻¹ + HᵀR⁻¹H is assembled straight into band storage, numbered
+/// along the expansion's short axis, and solved there — ≈ n̄·b² + 4·n̄·b·N
+/// flops, no n̄×n̄ matrix anywhere.
 linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
                                  const obs::LocalObservations& local,
                                  grid::Rect expansion,
@@ -127,18 +154,20 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
       linalg::estimate_inverse_covariance_scratch(ens.anomalies, oracle,
                                                   options.ridge, ws.arena());
 
-  // Half-bandwidth measured from what fills the band: L's furthest
-  // predecessor and the widest observation support.
-  const Index bandwidth = std::min(
-      n_bar - 1, std::max(binv.l.bandwidth(), local.h_bandwidth()));
+  // The band solves P·A·Pᵀ, P numbering the points along whichever axis
+  // gives the narrower measured band; L stays in row-major order.
+  const BandNumbering numbering =
+      choose_band_numbering(expansion, binv.l, local, ws.arena());
+  const std::span<const Index> band_index = numbering.band_index;
+  const Index bandwidth = numbering.bandwidth();
   linalg::BandMatrix system(
       ws.doubles(linalg::BandMatrix::storage_size(n_bar, bandwidth)), n_bar,
       bandwidth);
-  linalg::add_inverse_covariance(binv, system);
-  local.add_ht_rinv_h(system);
+  linalg::add_inverse_covariance(binv, band_index, system);
+  local.add_ht_rinv_h(band_index, system);
 
   // Weighted innovations R⁻¹(Yˢ − H X̄ᵇ) in one fused pass, then
-  // RHS = Hᵀ R⁻¹ D straight into the solve's in-place buffer.
+  // RHS = P Hᵀ R⁻¹ D straight into the solve's in-place buffer.
   const Index m_bar = local.size();
   linalg::Matrix local_ys = ws.matrix(m_bar, n_members);
   local.select_rows_into(perturbed, local_ys);
@@ -148,12 +177,18 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   linalg::weighted_residual_into(local_ys, hxb, local.r_inverse(),
                                  innovations);
   linalg::Matrix delta = ws.matrix(n_bar, n_members);
-  local.apply_ht_into(innovations, delta);
+  local.apply_ht_into(innovations, band_index, delta);
 
-  // δX = A⁻¹ · RHS by band Cholesky; Xᵃ = X̄ᵇ + δX.
+  // P·δX = (P A Pᵀ)⁻¹ · P·RHS by band Cholesky; Xᵃ = X̄ᵇ + δX, point i's
+  // row read back from band row band_index[i].  With α = 1 each element
+  // is one rounded sum, so the row-wise axpy matches a whole-matrix one.
   linalg::band_cholesky_factor(system);
   linalg::band_cholesky_solve_in_place(system, delta);
-  linalg::axpy(1.0, delta, ens.xb);
+  const auto& table = linalg::kernels::active_kernels();
+  for (Index i = 0; i < n_bar; ++i) {
+    table.axpy(n_members, 1.0, delta.row(band_index[i]).data(),
+               ens.xb.row(i).data());
+  }
   return std::move(ens.xb);
 }
 

@@ -8,13 +8,18 @@
 //
 // with B̂⁻¹ = LᵀD⁻¹L estimated by the localized modified Cholesky
 // decomposition (P-EnKF's estimator, refs [23][24]; L kept
-// row-compressed).  The SPD system B̂⁻¹ + HᵀR⁻¹H is banded in the
-// expansion's row-major order — L's predecessor window and each
-// observation's support reach only so far from the diagonal — so it is
-// assembled straight into band storage and solved by band Cholesky
-// (linalg/banded.hpp): ≈ n̄·b² + 4·n̄·b·N flops for half-bandwidth b,
-// and no n̄×n̄ matrix is ever formed.  P projects the expansion onto the
-// target rectangle (never materialized, exactly as §2.2 notes).
+// row-compressed, in the expansion's row-major order).  The SPD system
+// B̂⁻¹ + HᵀR⁻¹H is banded — L's predecessor window and each
+// observation's support reach only so far — so it is assembled straight
+// into band storage and solved by band Cholesky (linalg/banded.hpp):
+// ≈ n̄·b² + 4·n̄·b·N flops for half-bandwidth b, and no n̄×n̄ matrix is
+// ever formed.  How far those couplings reach depends on how the band
+// numbers the points: row-major (x fastest) makes b follow the
+// expansion's width, y fastest its height.  Each patch measures b under
+// both and solves the symmetric renumbering with the smaller one
+// (choose_band_numbering); the estimator, L and the projection keep
+// row-major indices.  P projects the expansion onto the target
+// rectangle (never materialized, exactly as §2.2 notes).
 //
 // Every implementation in this library — serial reference, L-EnKF,
 // P-EnKF, S-EnKF — calls this one kernel with identical inputs, which is
@@ -113,6 +118,31 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
                            std::span<const Index> member_ids,
                            LocalAnalysisWorkspace& workspace,
                            parcomm::Packer& out);
+
+/// How eq. (6)'s band numbers the expansion's points, and the
+/// half-bandwidths measured under both candidate numberings.
+struct BandNumbering {
+  /// Band row of each point, indexed by its row-major expansion index.
+  std::span<const Index> band_index;
+  Index row_major_bandwidth = 0;  ///< measured with x fastest
+  Index y_fastest_bandwidth = 0;  ///< measured with y fastest
+  bool y_fastest = false;         ///< which of the two band_index holds
+
+  Index bandwidth() const {
+    return y_fastest ? y_fastest_bandwidth : row_major_bandwidth;
+  }
+};
+
+/// Numbers `expansion` row-major (x fastest) or y fastest, whichever
+/// gives the smaller half-bandwidth for B̂⁻¹ + HᵀR⁻¹H; a tie keeps
+/// row-major.  Each width is measured, never derived from the halo: the
+/// widest band-row spread over a row of `l` with its point
+/// (SparseUnitLower::bandwidth) or over an observation's support
+/// (LocalObservations::h_bandwidth).  The map lives in `arena`.
+BandNumbering choose_band_numbering(grid::Rect expansion,
+                                    const linalg::SparseUnitLower& l,
+                                    const obs::LocalObservations& local,
+                                    support::Arena& arena);
 
 /// The localized predecessor oracle used for B̂⁻¹: predecessors of a point
 /// are the earlier points (row-major order within the expansion) whose

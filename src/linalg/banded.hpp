@@ -1,13 +1,16 @@
 // Symmetric positive-definite band solver — the library's one Cholesky.
 //
 // Its main client is the system solve of the stochastic analysis (paper
-// eq. (6)).  In the expansion's row-major ordering, A = B̂⁻¹ + HᵀR⁻¹H
-// couples two points only when one is a localized predecessor of the
-// other (an entry of L, B̂⁻¹ = LᵀD⁻¹L) or when both lie in one
-// observation's support, so A(i, j) = 0 for |i − j| > b with b the wider
-// of those two reaches.  The small dense SPD systems — the modified-
-// Cholesky estimator's p×p regressions and the m×m χ² solve of
-// innovation_statistics — are the same solver at full bandwidth b = n−1.
+// eq. (6)).  A = B̂⁻¹ + HᵀR⁻¹H couples two points only when one is a
+// localized predecessor of the other (an entry of L, B̂⁻¹ = LᵀD⁻¹L) or
+// when both lie in one observation's support, so under any numbering of
+// the expansion's points A(i, j) = 0 for |i − j| > b, with b the widest
+// index spread over one row of L with its point or over one support.
+// The analysis numbers the band along the expansion's short axis, which
+// keeps b small (enkf/local_analysis.hpp).  The small dense SPD systems —
+// the modified-Cholesky estimator's p×p regressions and the m×m χ² solve
+// of innovation_statistics — are the same solver at full bandwidth
+// b = n−1.
 //
 // BandMatrix stores only the lower band: row i holds A(i, i−b .. i)
 // contiguously with the diagonal last; the slots left of column 0 in the
@@ -52,6 +55,11 @@ class BandMatrix {
   const double& operator()(Index i, Index j) const {
     SENKF_ASSERT(j <= i && i - j <= band_ && i < n_);
     return data_[i * (band_ + 1) + band_ - (i - j)];
+  }
+
+  /// The stored entry of A(i, j) = A(j, i), for either order of i and j.
+  double& symmetric(Index i, Index j) {
+    return i >= j ? (*this)(i, j) : (*this)(j, i);
   }
 
  private:

@@ -95,24 +95,28 @@ ModifiedCholesky estimate_inverse_covariance_scratch(
   return out;
 }
 
-void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a) {
+void add_inverse_covariance(const ModifiedCholesky& factors,
+                            std::span<const Index> band_index, BandMatrix& a) {
   const Index n = factors.dim();
   SENKF_REQUIRE(a.dim() == n, "add_inverse_covariance: dimension mismatch");
-  SENKF_REQUIRE(factors.l.bandwidth() <= a.bandwidth(),
+  SENKF_REQUIRE(factors.l.bandwidth(band_index) <= a.bandwidth(),
                 "add_inverse_covariance: band narrower than L");
   for (Index i = 0; i < n; ++i) {
     const std::span<const Index> columns = factors.l.columns(i);
     const std::span<const double> values = factors.l.values(i);
     // ℓ_i = e_i + Σ_s values[s]·e_{columns[s]}, scaled outer product into
-    // the lower band.
+    // the lower band.  Which of a symmetric pair is added is decided in
+    // L's order, so the map changes where a sum lands, never its terms.
     const double inv = 1.0 / factors.d[i];
-    a(i, i) += inv;
+    const Index bi = band_index[i];
+    a(bi, bi) += inv;
     for (Index s = 0; s < columns.size(); ++s) {
       const double vs = inv * values[s];
-      a(i, columns[s]) += vs;
+      const Index bs = band_index[columns[s]];
+      a.symmetric(bi, bs) += vs;
       for (Index t = 0; t < columns.size(); ++t) {
         if (columns[t] <= columns[s]) {
-          a(columns[s], columns[t]) += vs * values[t];
+          a.symmetric(bs, band_index[columns[t]]) += vs * values[t];
         }
       }
     }

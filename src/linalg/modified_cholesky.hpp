@@ -14,7 +14,9 @@
 // L comes from localization: row i only has entries in columns pred(i),
 // and L is stored that way (sparse_lower.hpp).  B̂⁻¹ itself is never
 // formed densely: add_inverse_covariance accumulates it into band storage
-// (banded.hpp) for the analysis solve.
+// (banded.hpp) for the analysis solve.  The regressions define B̂⁻¹ in
+// the predecessor ordering, so L keeps its row-major indices; only the
+// band is renumbered, by the map add_inverse_covariance takes.
 #pragma once
 
 #include <span>
@@ -70,9 +72,14 @@ ModifiedCholesky estimate_inverse_covariance_scratch(
     const Matrix& anomalies, PredecessorOracle& predecessors, double ridge,
     support::Arena& arena);
 
-/// a += B̂⁻¹ = Lᵀ D⁻¹ L = Σ_i d_i⁻¹ ℓ_i ℓ_iᵀ, with ℓ_i row i of L (unit
-/// diagonal included) — O(Σ_i |pred(i)|²), no dense intermediate.  The
-/// band must reach every entry: a.bandwidth() >= factors.l.bandwidth().
-void add_inverse_covariance(const ModifiedCholesky& factors, BandMatrix& a);
+/// a += P B̂⁻¹ Pᵀ with B̂⁻¹ = Lᵀ D⁻¹ L = Σ_i d_i⁻¹ ℓ_i ℓ_iᵀ, ℓ_i row i of L
+/// (unit diagonal included), and P the permutation that puts point i on
+/// band row band_index[i] — O(Σ_i |pred(i)|²), no dense intermediate.
+/// Each entry receives the same additions in the same order whatever the
+/// map, so the identity map gives B̂⁻¹ in L's own order and any other map
+/// its exact renumbering.  The band must reach every entry:
+/// a.bandwidth() >= factors.l.bandwidth(band_index).
+void add_inverse_covariance(const ModifiedCholesky& factors,
+                            std::span<const Index> band_index, BandMatrix& a);
 
 }  // namespace senkf::linalg

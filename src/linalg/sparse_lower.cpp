@@ -46,10 +46,18 @@ SparseUnitLower& SparseUnitLower::operator=(SparseUnitLower&& other) noexcept {
   return *this;
 }
 
-Index SparseUnitLower::bandwidth() const {
+Index SparseUnitLower::bandwidth(std::span<const Index> band_index) const {
+  SENKF_REQUIRE(band_index.size() == dim(),
+                "SparseUnitLower::bandwidth: one band row per point");
   Index band = 0;
   for (Index i = 0; i < dim(); ++i) {
-    for (const Index j : columns(i)) band = std::max(band, i - j);
+    Index lo = band_index[i];
+    Index hi = lo;
+    for (const Index j : columns(i)) {
+      lo = std::min(lo, band_index[j]);
+      hi = std::max(hi, band_index[j]);
+    }
+    band = std::max(band, hi - lo);
   }
   return band;
 }

@@ -8,7 +8,9 @@
 // row i's strictly-lower entries sit at columns(i) with values(i).  The
 // estimator writes it (modified_cholesky.hpp) and the stochastic
 // analysis assembles B̂⁻¹ = LᵀD⁻¹L from it straight into band storage
-// (banded.hpp), so L is never densified.
+// (banded.hpp), so L is never densified.  L keeps the row-major indices
+// of the estimator's ordering; only the band it is assembled into may be
+// renumbered, through a band-index map.
 //
 // Storage follows Matrix's two modes: `scratch(...)` lays the factor out
 // in an arena (the zero-allocation analysis path), and a copy is always
@@ -54,9 +56,12 @@ class SparseUnitLower {
   std::span<Index> columns(Index i) { return row_of(columns_, i); }
   std::span<double> values(Index i) { return row_of(values_, i); }
 
-  /// Half-bandwidth: the largest i − j over stored entries (0 when L is
-  /// the identity).
-  Index bandwidth() const;
+  /// Half-bandwidth of LᵀD⁻¹L (and of L) when point i sits on band row
+  /// band_index[i]: the widest spread of band rows over one row of L with
+  /// its diagonal, since ℓᵢℓᵢᵀ couples every pair of them.  Under the
+  /// identity map it is the largest i − j over stored entries (0 when L
+  /// is the identity).  `band_index` holds dim() entries.
+  Index bandwidth(std::span<const Index> band_index) const;
 
  private:
   template <typename T>

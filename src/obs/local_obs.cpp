@@ -50,11 +50,6 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
       h_weights_.push_back(weight);
     }
     h_start_.push_back(h_columns_.size());
-    const std::span<const Index> row_columns = h_columns(row);
-    if (!row_columns.empty()) {
-      h_bandwidth_ =
-          std::max(h_bandwidth_, row_columns.back() - row_columns.front());
-    }
     r_diag_[row] = comp.error_std * comp.error_std;
     rinv_[row] = 1.0 / r_diag_[row];
     local_values_[row] = observations.values()[selected_[row]];
@@ -94,9 +89,11 @@ void LocalObservations::apply_h_into(const linalg::Vector& x,
 }
 
 void LocalObservations::apply_ht_into(const linalg::Matrix& d,
+                                      std::span<const Index> band_index,
                                       linalg::Matrix& out) const {
   SENKF_REQUIRE(d.rows() == size() && out.rows() == rect_.count() &&
-                    out.cols() == d.cols(),
+                    out.cols() == d.cols() &&
+                    band_index.size() == rect_.count(),
                 "LocalObservations::apply_ht_into: shape mismatch");
   const auto& table = linalg::kernels::active_kernels();
   for (Index i = 0; i < out.rows(); ++i) {
@@ -108,23 +105,44 @@ void LocalObservations::apply_ht_into(const linalg::Matrix& d,
     const auto weights = h_weights(r);
     for (Index s = 0; s < columns.size(); ++s) {
       table.axpy(d.cols(), weights[s], d.row(r).data(),
-                 out.row(columns[s]).data());
+                 out.row(band_index[columns[s]]).data());
     }
   }
 }
 
-void LocalObservations::add_ht_rinv_h(linalg::BandMatrix& a) const {
-  SENKF_REQUIRE(a.dim() == rect_.count() && a.bandwidth() >= h_bandwidth_,
+Index LocalObservations::h_bandwidth(std::span<const Index> band_index) const {
+  SENKF_REQUIRE(band_index.size() == rect_.count(),
+                "LocalObservations::h_bandwidth: one band row per point");
+  Index band = 0;
+  for (Index r = 0; r < size(); ++r) {
+    const auto columns = h_columns(r);
+    if (columns.empty()) continue;
+    Index lo = band_index[columns.front()];
+    Index hi = lo;
+    for (const Index j : columns) {
+      lo = std::min(lo, band_index[j]);
+      hi = std::max(hi, band_index[j]);
+    }
+    band = std::max(band, hi - lo);
+  }
+  return band;
+}
+
+void LocalObservations::add_ht_rinv_h(std::span<const Index> band_index,
+                                      linalg::BandMatrix& a) const {
+  SENKF_REQUIRE(a.dim() == rect_.count() &&
+                    a.bandwidth() >= h_bandwidth(band_index),
                 "LocalObservations::add_ht_rinv_h: band too narrow");
   for (Index r = 0; r < size(); ++r) {
     const auto columns = h_columns(r);
     const auto weights = h_weights(r);
-    // Lower triangle of the row's outer product: columns ascend, so
-    // columns[s] >= columns[t] for t <= s.
+    // One triangle of the row's outer product, t <= s, each pair landing
+    // on its lower-band entry under the map.
     for (Index s = 0; s < columns.size(); ++s) {
       const double ws = weights[s] * rinv_[r];
+      const Index bs = band_index[columns[s]];
       for (Index t = 0; t <= s; ++t) {
-        a(columns[s], columns[t]) += ws * weights[t];
+        a.symmetric(bs, band_index[columns[t]]) += ws * weights[t];
       }
     }
   }

@@ -6,7 +6,8 @@
 //     (row-major patch-local indexing), held only row-sparse: each row
 //     keeps its 1–4 support points.  Both analysis kinds apply H, Hᵀ
 //     and (stochastic) add HᵀR⁻¹H on the band through it, at O(s) per
-//     row and column for supports of s points,
+//     row and column for supports of s points; the band may number the
+//     points differently, through a band-index map,
 //   * the diagonal of R_{[i,j]} and its reciprocals,
 //   * the corresponding rows of the global Yˢ.
 // Nothing here is m̄×n̄ or n̄×n̄.
@@ -51,9 +52,10 @@ class LocalObservations {
                                          h_start_[r + 1] - h_start_[r]);
   }
 
-  /// Widest row support: the largest j − i over two support points of one
-  /// row — how far HᵀR⁻¹H reaches from the diagonal.
-  Index h_bandwidth() const { return h_bandwidth_; }
+  /// How far HᵀR⁻¹H reaches from the diagonal when point i sits on band
+  /// row band_index[i]: the widest spread of band rows over one row's
+  /// support.  `band_index` holds rect().count() entries.
+  Index h_bandwidth(std::span<const Index> band_index) const;
 
   /// out = H̄·x for x with rect().count() rows (out: size() rows, same
   /// columns), through the row supports.
@@ -62,11 +64,18 @@ class LocalObservations {
   /// out = H̄·x for a vector x of length rect().count() (out: size()).
   void apply_h_into(const linalg::Vector& x, linalg::Vector& out) const;
 
-  /// out = H̄ᵀ·d for d with size() rows (out: rect().count() rows).
-  void apply_ht_into(const linalg::Matrix& d, linalg::Matrix& out) const;
+  /// out = P H̄ᵀ·d for d with size() rows (out: rect().count() rows), P
+  /// putting point i's row on out's row band_index[i].  Each row gets the
+  /// same additions in the same order whatever the map.
+  void apply_ht_into(const linalg::Matrix& d,
+                     std::span<const Index> band_index,
+                     linalg::Matrix& out) const;
 
-  /// a += H̄ᵀR⁻¹H̄ on the band (a.bandwidth() >= h_bandwidth()).
-  void add_ht_rinv_h(linalg::BandMatrix& a) const;
+  /// a += P H̄ᵀR⁻¹H̄ Pᵀ on the band, P putting point i on band row
+  /// band_index[i] (a.bandwidth() >= h_bandwidth(band_index)).  Every
+  /// entry gets the same additions in the same order whatever the map.
+  void add_ht_rinv_h(std::span<const Index> band_index,
+                     linalg::BandMatrix& a) const;
 
   /// The measured values of the selected components (length size()).
   const linalg::Vector& local_values() const { return local_values_; }
@@ -86,7 +95,6 @@ class LocalObservations {
   std::vector<Index> h_start_;  // size()+1 offsets into the two below
   std::vector<Index> h_columns_;
   std::vector<double> h_weights_;
-  Index h_bandwidth_ = 0;
   linalg::Vector local_values_;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "../linalg/dense_factor.hpp"
 #include "../linalg/dense_h.hpp"
 #include "enkf/ensemble_store.hpp"
@@ -260,6 +263,93 @@ TEST(ExpansionPredecessors, OracleMatchesTheReferenceNeighbourhood) {
           << "halo (" << halo.xi << ", " << halo.eta << "), point " << i;
     }
   }
+}
+
+/// choose_band_numbering on `expansion` of `mesh`: L comes from the
+/// estimator over the oracle's neighbourhoods (its values do not matter
+/// to the measure, only which columns each row holds).
+BandNumbering numbering_for(const grid::LatLonGrid& mesh, grid::Rect expansion,
+                            grid::Halo halo, bool bilinear,
+                            support::Arena& arena) {
+  senkf::Rng rng(31);
+  const grid::Field truth = grid::synthetic_field(mesh, rng);
+  obs::NetworkOptions opt;
+  opt.station_count = mesh.size() / 8;
+  opt.bilinear = bilinear;
+  const obs::ObservationSet observations =
+      obs::random_network(mesh, truth, rng, opt);
+  const obs::LocalObservations local(observations, expansion);
+  linalg::Matrix anomalies(expansion.count(), 4);
+  for (Index i = 0; i < anomalies.rows(); ++i) {
+    for (Index k = 0; k < anomalies.cols(); ++k) anomalies(i, k) = rng.normal();
+  }
+  ExpansionPredecessorOracle oracle(expansion, halo);
+  const linalg::ModifiedCholesky binv =
+      linalg::estimate_inverse_covariance_scratch(anomalies, oracle, 1e-6,
+                                                  arena);
+  return choose_band_numbering(expansion, binv.l, local, arena);
+}
+
+TEST(BandNumbering, WideShortExpansionNumbersYFastest) {
+  // A numbench stoch-warm layer expansion: 74 wide, 11 tall, halo (1,1).
+  // Row-major, L reaches one grid row back plus ξ (η·74 + ξ = 75) and a
+  // bilinear station spans width + 1 = 75.  Y fastest, L's row spans
+  // (x−ξ, y−η) .. (x+ξ, y−1): 2ξ·11 + η − 1 = 22, and a station 11 + 1.
+  const grid::LatLonGrid mesh(80, 16);
+  const grid::Rect expansion{{3, 77}, {2, 13}};
+  support::Arena arena;
+  const BandNumbering numbering =
+      numbering_for(mesh, expansion, grid::Halo{1, 1}, true, arena);
+  EXPECT_EQ(numbering.row_major_bandwidth, 75u);
+  EXPECT_EQ(numbering.y_fastest_bandwidth, 22u);
+  EXPECT_TRUE(numbering.y_fastest);
+  EXPECT_EQ(numbering.bandwidth(), 22u);
+  // The map is y fastest: point (x, y) of the expansion on band row
+  // x·height + y, a permutation of 0 .. n̄−1.
+  const Index width = expansion.x.size();
+  const Index height = expansion.y.size();
+  ASSERT_EQ(numbering.band_index.size(), expansion.count());
+  std::vector<bool> seen(expansion.count(), false);
+  for (Index i = 0; i < expansion.count(); ++i) {
+    EXPECT_EQ(numbering.band_index[i], (i % width) * height + i / width);
+    seen[numbering.band_index[i]] = true;
+  }
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+}
+
+TEST(BandNumbering, SquareAndTallExpansionsKeepRowMajor) {
+  const grid::LatLonGrid mesh(16, 16);
+  const grid::Rect square{{0, 12}, {0, 12}};
+  const grid::Rect tall{{2, 8}, {0, 16}};
+  const grid::Rect column{{5, 6}, {0, 16}};
+  for (const grid::Rect expansion : {square, tall, column}) {
+    for (const grid::Halo halo : {grid::Halo{1, 1}, grid::Halo{2, 1}}) {
+      for (const bool bilinear : {false, true}) {
+        support::Arena arena;
+        const BandNumbering numbering =
+            numbering_for(mesh, expansion, halo, bilinear, arena);
+        EXPECT_FALSE(numbering.y_fastest)
+            << expansion.x.size() << "x" << expansion.y.size();
+        EXPECT_LE(numbering.row_major_bandwidth, numbering.y_fastest_bandwidth);
+        for (Index i = 0; i < expansion.count(); ++i) {
+          EXPECT_EQ(numbering.band_index[i], i);
+        }
+      }
+    }
+  }
+}
+
+TEST(BandNumbering, TieKeepsRowMajor) {
+  // No predecessors and point stations: nothing leaves the diagonal
+  // under either numbering.
+  const grid::LatLonGrid mesh(16, 8);
+  const grid::Rect expansion{{0, 16}, {0, 3}};
+  support::Arena arena;
+  const BandNumbering numbering =
+      numbering_for(mesh, expansion, grid::Halo{0, 0}, false, arena);
+  EXPECT_EQ(numbering.row_major_bandwidth, 0u);
+  EXPECT_EQ(numbering.y_fastest_bandwidth, 0u);
+  EXPECT_FALSE(numbering.y_fastest);
 }
 
 }  // namespace

@@ -306,11 +306,12 @@ void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
 
 // Banded Cholesky vs dense LU solve of the stochastic system: max over a
 // member's points of |got − want|, relative to the member's largest
-// |want|.  Measured over every case in this file: at most 2.9e-11
-// (scalar kernels), 3.0e-11 (AVX2), 6.9e-11 (AVX-512).  That is the
-// system's conditioning, not the band solver's accuracy: a dense
-// Cholesky and a dense LU solve of the same system differ by up to
-// 3.6e-11 on these cases.  The bound keeps ~14× headroom over the worst
+// |want|.  Measured over every case in this file, the wide rects solved
+// on their y-fastest band included: at most 7.4e-11 (scalar kernels),
+// 5.8e-11 (AVX2), 8.5e-11 (AVX-512).  That is the system's
+// conditioning, not the band solver's accuracy: a dense Cholesky and a
+// dense LU solve of the same system differ by up to 3.6e-11 on the
+// square cases.  The bound keeps ~12× headroom over the worst
 // measurement.
 constexpr double kStochasticTolerance = 1e-9;
 
@@ -356,12 +357,34 @@ void expect_matches(AnalysisKind kind, const AnalysisResult& got,
 
 // A mix of rects of different shapes (so a reused workspace grows, then
 // serves smaller patches from the same chunks) with a repeat at the end.
+// The two 16×3 rects are wide and short: at halo (2,1) the stochastic
+// band numbers them y fastest (b 18 → 12); the others stay row-major.
 std::vector<grid::Rect> varied_rects() {
   return {
       grid::Rect{{0, 6}, {0, 6}},  grid::Rect{{0, 16}, {0, 12}},
       grid::Rect{{4, 12}, {2, 10}}, grid::Rect{{10, 16}, {6, 12}},
+      grid::Rect{{0, 16}, {0, 3}},  grid::Rect{{0, 16}, {5, 8}},
       grid::Rect{{0, 6}, {0, 6}},
   };
+}
+
+/// The band numbering the stochastic update picks for `rect`: L from the
+/// estimator on the scenario's anomalies over the oracle's neighbourhoods.
+BandNumbering band_numbering_of(const Scenario& sc, grid::Rect rect,
+                                grid::Halo halo, support::Arena& arena) {
+  const auto background = sc.patches(rect);
+  linalg::Matrix xb(rect.count(), background.size());
+  for (Index k = 0; k < background.size(); ++k) {
+    for (Index i = 0; i < rect.count(); ++i) {
+      xb(i, k) = background[k].values()[i];
+    }
+  }
+  ExpansionPredecessorOracle oracle(rect, halo);
+  const linalg::ModifiedCholesky binv =
+      linalg::estimate_inverse_covariance_scratch(
+          linalg::ensemble_anomalies(xb), oracle, 1e-6, arena);
+  const obs::LocalObservations local(sc.observations, rect);
+  return choose_band_numbering(rect, binv.l, local, arena);
 }
 
 class Workspace : public ::testing::Test {
@@ -596,14 +619,39 @@ TEST_F(Workspace, BandCoversObservationsWiderThanTheHalo) {
   // With η = 0 the predecessor window stays on one grid row, so L's band
   // is just ξ; a bilinear station couples its two rows, one expansion
   // width apart.  The band must come from the supports too — a width
-  // taken from the halo alone would drop HᵀR⁻¹H entries.
+  // taken from the halo alone would drop HᵀR⁻¹H entries.  The rect is
+  // taller than wide, so the band stays row-major.
   const Scenario sc(17, 8, 40, /*bilinear=*/true);
   AnalysisOptions opt =
       options_for(AnalysisKind::kStochasticModifiedCholesky, 1.0);
   opt.halo = grid::Halo{1, 0};
-  const grid::Rect rect{{0, 16}, {0, 12}};
-  ASSERT_GT(obs::LocalObservations(sc.observations, rect).h_bandwidth(),
-            rect.x.size());
+  const grid::Rect rect{{4, 12}, {0, 12}};
+  support::Arena arena;
+  const BandNumbering numbering = band_numbering_of(sc, rect, opt.halo, arena);
+  ASSERT_FALSE(numbering.y_fastest);
+  ASSERT_GT(numbering.row_major_bandwidth, rect.x.size());
+  const auto background = sc.patches(rect);
+  LocalAnalysisWorkspace ws;
+  std::vector<grid::PatchView> views;
+  expect_close(owned(scratch_on(background, rect, sc, opt, ws, views)),
+               reference_local_analysis(background, rect, sc.observations,
+                                        sc.ys, opt));
+}
+
+TEST_F(Workspace, YFastestBandCoversObservationsWiderThanTheHalo) {
+  // The transposed twin: with ξ = 0 a point's only predecessors sit
+  // straight below it, one band row away when numbered y fastest, so L's
+  // band is η; a bilinear station couples two columns, rect height + 1
+  // apart.  On this wide, short rect the supports set the band.
+  const Scenario sc(17, 8, 40, /*bilinear=*/true);
+  AnalysisOptions opt =
+      options_for(AnalysisKind::kStochasticModifiedCholesky, 1.0);
+  opt.halo = grid::Halo{0, 1};
+  const grid::Rect rect{{0, 16}, {3, 8}};
+  support::Arena arena;
+  const BandNumbering numbering = band_numbering_of(sc, rect, opt.halo, arena);
+  ASSERT_TRUE(numbering.y_fastest);
+  ASSERT_EQ(numbering.y_fastest_bandwidth, rect.y.size() + 1);
   const auto background = sc.patches(rect);
   LocalAnalysisWorkspace ws;
   std::vector<grid::PatchView> views;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "dense_factor.hpp"
@@ -19,6 +21,12 @@ using testing::banded_predecessors;
 using testing::dense_inverse_covariance;
 using testing::dense_l;
 using testing::estimate_inverse_covariance;
+
+std::vector<Index> identity_map(Index n) {
+  std::vector<Index> map(n);
+  std::iota(map.begin(), map.end(), Index{0});
+  return map;
+}
 
 // The band Cholesky at full bandwidth on dense symmetric `a`: throws
 // NumericError unless `a` is SPD.
@@ -90,7 +98,7 @@ TEST(ModifiedCholesky, BandedSparsityPattern) {
   }
   // Stored compactly: exactly the band's entries, and no wider.
   EXPECT_EQ(mc.l.nonzeros(), 1u + (12u - band) * band);
-  EXPECT_EQ(mc.l.bandwidth(), band);
+  EXPECT_EQ(mc.l.bandwidth(identity_map(12)), band);
 }
 
 TEST(ModifiedCholesky, InverseCovarianceIsSpd) {
@@ -122,10 +130,11 @@ TEST(ModifiedCholesky, BandAssemblyMatchesDenseFormula) {
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
                                               banded_predecessors(3));
   const Matrix dense = dense_inverse_covariance(mc);
+  const std::vector<Index> identity = identity_map(n);
   for (const Index band : {Index{3}, Index{7}}) {
     std::vector<double> storage(BandMatrix::storage_size(n, band), 0.0);
     BandMatrix a(storage, n, band);
-    add_inverse_covariance(mc, a);
+    add_inverse_covariance(mc, identity, a);
     for (Index i = 0; i < n; ++i) {
       for (Index j = 0; j <= i; ++j) {
         const double want = dense(i, j);
@@ -141,7 +150,51 @@ TEST(ModifiedCholesky, BandAssemblyMatchesDenseFormula) {
   // A band narrower than L's is refused rather than silently truncated.
   std::vector<double> narrow(BandMatrix::storage_size(n, 2), 0.0);
   BandMatrix too_narrow(narrow, n, 2);
-  EXPECT_THROW(add_inverse_covariance(mc, too_narrow), InvalidArgument);
+  EXPECT_THROW(add_inverse_covariance(mc, identity, too_narrow),
+               InvalidArgument);
+}
+
+TEST(ModifiedCholesky, BandAssemblyUnderAMapIsTheExactRenumbering) {
+  // Renumbering the band moves each sum, never its terms: entry (i, j)
+  // in L's order lands bitwise at (map[i], map[j]).  The width the map
+  // needs is measured; the identity's would be too narrow.
+  Rng rng(7);
+  const Index n = 14;
+  const Matrix ensemble = ar1_ensemble(n, 20, 0.5, rng);
+  const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
+                                              banded_predecessors(3));
+  const std::vector<Index> identity = identity_map(n);
+  std::vector<double> base_storage(BandMatrix::storage_size(n, 3), 0.0);
+  BandMatrix base(base_storage, n, 3);
+  add_inverse_covariance(mc, identity, base);
+
+  std::vector<Index> map = identity;  // odd points first, then even
+  std::stable_partition(map.begin(), map.end(),
+                        [](Index i) { return i % 2 == 1; });
+  std::vector<Index> band_index(n);
+  for (Index r = 0; r < n; ++r) band_index[map[r]] = r;
+  const Index width = mc.l.bandwidth(band_index);
+  ASSERT_GT(width, mc.l.bandwidth(identity));
+  std::vector<double> storage(BandMatrix::storage_size(n, width), 0.0);
+  BandMatrix permuted(storage, n, width);
+  add_inverse_covariance(mc, band_index, permuted);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      const double want = i - j <= 3 ? base(i, j) : 0.0;
+      const Index hi = std::max(band_index[i], band_index[j]);
+      const Index lo = std::min(band_index[i], band_index[j]);
+      if (hi - lo > width) {
+        EXPECT_EQ(want, 0.0);
+        continue;
+      }
+      EXPECT_EQ(permuted.symmetric(band_index[i], band_index[j]), want)
+          << "i=" << i << " j=" << j;
+    }
+  }
+  std::vector<double> narrow(BandMatrix::storage_size(n, width - 1), 0.0);
+  BandMatrix too_narrow(narrow, n, width - 1);
+  EXPECT_THROW(add_inverse_covariance(mc, band_index, too_narrow),
+               InvalidArgument);
 }
 
 TEST(ModifiedCholesky, CapturesAr1Structure) {

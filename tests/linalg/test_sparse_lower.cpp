@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,12 @@ Matrix random_anomalies(Index n, Index members, Rng& rng) {
     for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
   }
   return ensemble_anomalies(ensemble);
+}
+
+std::vector<Index> identity_map(Index n) {
+  std::vector<Index> map(n);
+  std::iota(map.begin(), map.end(), Index{0});
+  return map;
 }
 
 // Hands out the banded predecessor sets through the arena interface.
@@ -53,8 +60,32 @@ TEST(SparseUnitLower, ScratchLayoutFollowsRowOffsets) {
   l.columns(2)[0] = 0;
   l.columns(2)[1] = 1;
   EXPECT_EQ(l.columns(2).size(), 2u);
-  EXPECT_EQ(l.bandwidth(), 2u);  // row 2 reaches column 0
-  EXPECT_EQ(SparseUnitLower().bandwidth(), 0u);
+  EXPECT_EQ(l.bandwidth(identity_map(3)), 2u);  // row 2 reaches column 0
+  EXPECT_EQ(SparseUnitLower().bandwidth({}), 0u);
+}
+
+TEST(SparseUnitLower, BandwidthIsTheSpreadOfEachRowUnderTheMap) {
+  // Row 1 holds column 0 and row 2 column 1.  Row-major both reach one
+  // step; putting point 1 last spreads row 1 over band rows {0, 2},
+  // putting it first spreads row 2 over {0, 2}, and reversing the order
+  // keeps both at one.
+  support::Arena arena;
+  auto row_start = arena.allocate_span<Index>(4);
+  row_start[0] = 0;
+  row_start[1] = 0;
+  row_start[2] = 1;
+  row_start[3] = 2;
+  SparseUnitLower l = SparseUnitLower::scratch(row_start, arena);
+  l.columns(1)[0] = 0;
+  l.columns(2)[0] = 1;
+  EXPECT_EQ(l.bandwidth(identity_map(3)), 1u);
+  const std::vector<Index> last{0, 2, 1};
+  EXPECT_EQ(l.bandwidth(last), 2u);
+  const std::vector<Index> swapped{1, 0, 2};
+  EXPECT_EQ(l.bandwidth(swapped), 2u);
+  const std::vector<Index> reversed{2, 1, 0};
+  EXPECT_EQ(l.bandwidth(reversed), 1u);
+  EXPECT_THROW(l.bandwidth(identity_map(2)), InvalidArgument);
 }
 
 TEST(SparseUnitLower, EstimatorStoresOnlyThePredecessors) {
@@ -63,7 +94,7 @@ TEST(SparseUnitLower, EstimatorStoresOnlyThePredecessors) {
   const auto factors = testing::estimate_inverse_covariance(
       random_anomalies(n, 10, rng), testing::banded_predecessors(band), 1e-6);
   EXPECT_EQ(factors.l.dim(), n);
-  EXPECT_EQ(factors.l.bandwidth(), band);
+  EXPECT_EQ(factors.l.bandwidth(identity_map(n)), band);
   const auto pred = testing::banded_predecessors(band);
   for (Index i = 0; i < n; ++i) {
     const auto columns = factors.l.columns(i);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "../linalg/dense_h.hpp"
@@ -192,8 +193,11 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
       EXPECT_EQ(local.h_weights(r)[s], h(r, columns[s]));
     }
   }
-  EXPECT_EQ(local.h_bandwidth(), widest);
-  EXPECT_EQ(local.h_bandwidth(), rect.x.size() + 1);  // a bilinear row
+  std::vector<Index> identity(n);
+  std::iota(identity.begin(), identity.end(), Index{0});
+  const Index band_width = local.h_bandwidth(identity);
+  EXPECT_EQ(band_width, widest);
+  EXPECT_EQ(band_width, rect.x.size() + 1);  // a bilinear row
 
   // The cancelled component keeps only its surviving point (6, 3).
   ASSERT_EQ(local.selected().back(), comps.size() - 1);
@@ -217,20 +221,20 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
     for (Index k = 0; k < 3; ++k) d(r, k) = rng.normal();
   }
   linalg::Matrix htd(n, 3);
-  local.apply_ht_into(d, htd);
+  local.apply_ht_into(d, identity, htd);
   EXPECT_LT(linalg::max_abs_diff(htd, linalg::multiply_at_b(h, d)), 1e-13);
 
   linalg::Matrix rinv_h = h;
   linalg::row_scale(local.r_inverse(), rinv_h);
   const linalg::Matrix dense = linalg::multiply_at_b(h, rinv_h);
   std::vector<double> storage(
-      linalg::BandMatrix::storage_size(n, local.h_bandwidth()), 0.0);
-  linalg::BandMatrix band(storage, n, local.h_bandwidth());
-  local.add_ht_rinv_h(band);
+      linalg::BandMatrix::storage_size(n, band_width), 0.0);
+  linalg::BandMatrix band(storage, n, band_width);
+  local.add_ht_rinv_h(identity, band);
   for (Index i = 0; i < n; ++i) {
     for (Index j = 0; j <= i; ++j) {
       const double want = dense(i, j);
-      if (i - j > local.h_bandwidth()) {
+      if (i - j > band_width) {
         EXPECT_EQ(want, 0.0);
       } else {
         EXPECT_NEAR(band(i, j), want, 1e-12 * (1.0 + std::abs(want)));
@@ -240,7 +244,40 @@ TEST(LocalObservations, RowSupportsReproduceTheDenseOperator) {
   // A band narrower than the supports is refused.
   std::vector<double> narrow(linalg::BandMatrix::storage_size(n, 2), 0.0);
   linalg::BandMatrix too_narrow(narrow, n, 2);
-  EXPECT_THROW(local.add_ht_rinv_h(too_narrow), senkf::InvalidArgument);
+  EXPECT_THROW(local.add_ht_rinv_h(identity, too_narrow),
+               senkf::InvalidArgument);
+
+  // Numbered y fastest, a bilinear row spans one column step plus one
+  // point: rect height + 1.  The assembly and H̄ᵀd land each entry of
+  // the row-major sums bitwise on its renumbered position.
+  const Index width = rect.x.size();
+  const Index height = rect.y.size();
+  std::vector<Index> y_fastest(n);
+  for (Index i = 0; i < n; ++i) {
+    y_fastest[i] = (i % width) * height + i / width;
+  }
+  const Index y_width = local.h_bandwidth(y_fastest);
+  EXPECT_EQ(y_width, height + 1);
+  std::vector<double> y_storage(
+      linalg::BandMatrix::storage_size(n, y_width), 0.0);
+  linalg::BandMatrix y_band(y_storage, n, y_width);
+  local.add_ht_rinv_h(y_fastest, y_band);
+  linalg::Matrix y_htd(n, 3);
+  local.apply_ht_into(d, y_fastest, y_htd);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      const Index bi = y_fastest[i];
+      const Index bj = y_fastest[j];
+      const Index spread = bi > bj ? bi - bj : bj - bi;
+      if (spread > y_width) {
+        EXPECT_EQ(dense(i, j), 0.0);
+      } else {
+        EXPECT_EQ(y_band.symmetric(bi, bj),
+                  i - j <= band_width ? band(i, j) : 0.0);
+      }
+    }
+    for (Index k = 0; k < 3; ++k) EXPECT_EQ(y_htd(y_fastest[i], k), htd(i, k));
+  }
 }
 
 }  // namespace
