@@ -8,24 +8,37 @@
 //   SENKF_SKEW_WARN=4        ./monitored_run   # raise the WARN threshold
 //   SENKF_SKEW_WARN=off      ./monitored_run   # silence the monitor
 //   SENKF_FAULTS="straggler=0:0.03" ./monitored_run   # pick the delay
+//   SENKF_FAULTS="seed=1,transient=0.05,burst=2" ./monitored_run  # retries
 //   SENKF_SAMPLE_MS=5        ./monitored_run   # continuous sampling
 //   SENKF_TRACE=trace.json   ./monitored_run   # flow-event trace export
+//   SENKF_HTTP=0 ./monitored_run hold=25       # live /metrics, /health
+//
+// `hold=<seconds>` keeps the process — and the SENKF_HTTP endpoint —
+// alive that long after the run, so an outside probe can scrape it; the
+// "serving on 127.0.0.1:<port>" line on stderr says where.
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <optional>
+#include <thread>
 
 #include "enkf/faulty_store.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
+#include "support/config.hpp"
+#include "telemetry/liveops/liveops.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
+#include "telemetry/shutdown.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 #include "tuning/drift.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace senkf;
+  const Config args = Config::from_args(argc, argv);
+  const double hold_s = args.get_double("hold", 0.0);
 
   const grid::LatLonGrid g{48, 24};
   constexpr grid::Index kMembers = 8;
@@ -119,5 +132,15 @@ int main() {
     std::cout << "\nSet SENKF_REPORT=report.json to export all of the above "
                  "as versioned JSON.\n";
   }
+
+  if (hold_s > 0.0 && telemetry::liveops::liveops_http_running()) {
+    std::cout << "\nHolding " << hold_s << " s on port "
+              << telemetry::liveops::liveops_port() << "\n"
+              << std::flush;
+    std::this_thread::sleep_for(std::chrono::duration<double>(hold_s));
+  }
+  // Ordered teardown: endpoint and monitors stop before the atexit
+  // exporters write the trace and report.
+  telemetry::shutdown();
   return 0;
 }

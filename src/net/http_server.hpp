@@ -2,7 +2,7 @@
 //
 // One dedicated acceptor thread serves GET requests against a fixed
 // route table; handlers run on that thread and are expected to produce
-// small snapshot responses (a registry scrape, a job-table dump), so the
+// small snapshot responses (a registry scrape, a health document), so the
 // instrumented run never blocks on a client.  The server binds loopback
 // only — this is an operator diagnostic port, not a public API — and
 // supports port 0 (ephemeral) so tests can run in parallel.

@@ -6,10 +6,9 @@
 // (observation set, rect).  An entry holds nothing m̄×n̄ or n̄×n̄, and no
 // product with H̄: both analysis kinds apply H̄ through its supports per
 // patch, and the stochastic one forms its HᵀR⁻¹H term on the band.
-// Sub-domains are re-analysed with the same rects every cycle, and under
-// the service plane the same network is shared across jobs, so the cache
-// turns the per-patch localization cost into a shared-lock lookup after
-// the first cycle.
+// Sub-domains are re-analysed with the same rects every cycle, so the
+// cache turns the per-patch localization cost into a shared-lock lookup
+// after the first cycle.
 //
 // Keys use ObservationSet::epoch(), a process-unique id assigned at
 // construction: a *new* observation set (fresh values, new network) gets

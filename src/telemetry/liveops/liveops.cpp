@@ -9,7 +9,6 @@
 #include "net/http_server.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/liveops/exposition.hpp"
-#include "telemetry/liveops/jobs.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
@@ -47,12 +46,6 @@ void add_routes(net::HttpServer& server) {
     if (watchdog_stats().fired > 0) response.status = 503;
     return response;
   });
-  server.add_route("/jobs", [](const net::HttpRequest&) {
-    net::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = JobTable::global().render_json();
-    return response;
-  });
   server.add_route("/timeseries", [](const net::HttpRequest&) {
     net::HttpResponse response;
     response.content_type = "application/json";
@@ -80,8 +73,11 @@ HttpEnvConfig parse_http_env(const char* value) {
   if (v.empty() || v == "off" || v == "false") return config;
   char* end = nullptr;
   const long port = std::strtol(v.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || port < 0 || port > 65535) {
-    return config;  // unparsable: stay off, never crash the run
+  if (end == v.c_str() || *end != '\0' || port < 0 || port > 65535) {
+    // Unparsable: stay off, never crash the run — but say so.
+    std::cerr << "[senkf liveops] WARN ignoring SENKF_HTTP='" << v
+              << "' (expected off|<port 0-65535>)\n";
+    return config;
   }
   config.enabled = true;
   config.port = static_cast<std::uint16_t>(port);

@@ -1,16 +1,16 @@
 // Live operations plane front door (DESIGN.md §16).
 //
-// `ensure_liveops_started()` is the one call engines and the service
-// scheduler make at entry: it reads SENKF_HTTP / SENKF_PROFILE /
-// SENKF_WATCHDOG and lazily starts whichever subsystems those arm.
-// The HTTP server runs on its own thread and serves lock-light
-// snapshots — registry rows, timeseries rings, the live job table,
-// profiler and watchdog state — never touching engine hot paths:
+// `ensure_liveops_started()` is the one call engines make at entry: it
+// reads SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG and lazily starts
+// whichever subsystems those arm; an unparsable value stays off and
+// WARNs once.  The HTTP server runs on its own thread and serves
+// lock-light snapshots — registry rows, timeseries rings, profiler and
+// watchdog state — never touching engine hot paths:
 //
 //   /metrics     Prometheus text exposition of the registry
 //   /health      JSON liveness + the watchdog verdict (503 on stall)
-//   /jobs        JSON live job table (service runs)
 //   /timeseries  JSON timeseries rings
+//   /profile     JSON profile section (?collapsed: folded stacks)
 //
 // Teardown is ordered through telemetry::shutdown(): the endpoint
 // stops before the trace/report exporters run.
@@ -23,7 +23,8 @@ namespace senkf::telemetry::liveops {
 
 /// Parsed form of SENKF_HTTP (exposed for tests): empty/off disables;
 /// a port number enables (0 = kernel-assigned ephemeral port, printed
-/// at startup — tests use it to avoid collisions).
+/// at startup — tests use it to avoid collisions).  Anything else
+/// stays off with a WARN on stderr.
 struct HttpEnvConfig {
   bool enabled = false;
   std::uint16_t port = 0;

@@ -75,7 +75,7 @@ ProfileStats profiler_stats();
 /// One aggregated sample bucket.
 struct ProfileBucket {
   std::string stack;    ///< "outer;inner" frame names, outermost first
-  std::string context;  ///< tenant/engine label ("" = none)
+  std::string context;  ///< engine label ("" = none)
   std::int32_t rank = -1;
   std::uint64_t count = 0;
 };
@@ -95,9 +95,8 @@ std::string profile_section_json();
 void clear_profile();
 
 /// RAII attribution label for samples taken while in scope — the
-/// engine kind ("senkf") or the service tenant.  Restores the previous
-/// label on exit; `label` must outlive the scope (string literals,
-/// interned tenant names).
+/// engine kind ("senkf").  Restores the previous label on exit; `label`
+/// must outlive the scope (string literals).
 class ProfileContextScope {
  public:
   explicit ProfileContextScope(const char* label) : prev_(profile_context()) {

@@ -127,8 +127,11 @@ WatchdogEnvConfig parse_watchdog_env(const char* value) {
   if (v == "on" || v == "1" || v == "true") return config;
   char* end = nullptr;
   const double scale = std::strtod(v.c_str(), &end);
-  if (end == nullptr || *end != '\0' || scale <= 0.0) {
-    config.enabled = false;  // unparsable scale: stay off, never crash
+  if (end == v.c_str() || *end != '\0' || !(scale > 0.0)) {
+    // Unparsable scale: stay off, never crash — but say so.
+    std::cerr << "[senkf watchdog] WARN ignoring SENKF_WATCHDOG='" << v
+              << "' (expected off|on|<scale > 0>)\n";
+    config.enabled = false;
     return config;
   }
   config.scale = scale;

@@ -21,7 +21,8 @@ namespace senkf::telemetry::liveops {
 
 /// Parsed form of SENKF_WATCHDOG (exposed for tests): off|on|<scale>.
 /// `on` arms with the default safety scale; a positive number is the
-/// scale multiplied onto every armed deadline.
+/// scale multiplied onto every armed deadline.  Anything else stays off
+/// with a WARN on stderr.
 struct WatchdogEnvConfig {
   bool enabled = false;
   double scale = 3.0;

@@ -3,7 +3,7 @@
 // A run (senkf/penkf/lenkf) populates the process-global RunReport with
 // its config, per-rank samples, cross-rank aggregate, phase breakdown,
 // model drift and skew summary.  `SENKF_REPORT=<path>` arms an atexit
-// export of that state as JSON (schema "senkf-run-report" v1); the fault
+// export of that state as JSON (schema "senkf-run-report"); the fault
 // path calls flush_exports() so an aborting run still leaves a partial
 // report + trace on disk before the exception unwinds past atexit.
 #pragma once
@@ -21,38 +21,15 @@
 
 namespace senkf::telemetry {
 
-/// Per-job SLO record for multi-tenant service runs (DESIGN.md §14).
-/// All timestamps are on the service clock (simulated seconds since the
-/// scheduler started); a rejected job carries only arrival + reason.
-struct JobSlo {
-  std::uint64_t id = 0;
-  std::string tenant;
-  bool admitted = false;
-  std::string reject_reason;  ///< empty when admitted
-  double arrival_s = 0.0;
-  double start_s = 0.0;  ///< -1 when never started
-  double end_s = 0.0;    ///< -1 when never finished
-  double queue_wait_s = 0.0;
-  double run_s = 0.0;
-  double predicted_s = 0.0;  ///< cost-model-predicted runtime at admission
-  double deadline_s = 0.0;   ///< relative to arrival; 0 = due immediately
-  bool deadline_met = false;
-  std::uint64_t ranks = 0;     ///< disjoint rank-set size carved for the job
-  std::uint64_t rank_lo = 0;   ///< first rank of the carved interval
-  std::uint64_t io_slots = 0;  ///< disk-concurrency slots held while running
-  std::uint64_t cache_hits = 0;
-  double cache_saved_bytes = 0.0;
-};
-
 struct RunReport {
   /// Bumped when the JSON layout changes incompatibly.  v2 adds the
   /// per-cycle critical-path section, latency quantiles, and the
   /// time-series section (DESIGN.md §13).  v3 adds the per-job SLO
-  /// section with tenant aggregation (DESIGN.md §14).  v4 adds the
-  /// "profile" and "watchdog" sections fed by the liveops plane
-  /// (DESIGN.md §16); both default to {"enabled": false} when the
-  /// profiler/watchdog never armed.
-  static constexpr int kVersion = 4;
+  /// section with tenant aggregation.  v4 adds the "profile" and
+  /// "watchdog" sections fed by the liveops plane (DESIGN.md §16); both
+  /// default to {"enabled": false} when the profiler/watchdog never
+  /// armed.  v5 drops v3's jobs/tenants/job_totals with the job service.
+  static constexpr int kVersion = 5;
 
   std::string kind;     ///< "senkf", "penkf", "lenkf", ...
   bool valid = false;   ///< a run populated this report
@@ -70,10 +47,6 @@ struct RunReport {
   /// Cross-rank aggregate: per-rank samples + merged counters/gauges/
   /// histograms from the reduction tree.
   MetricsSnapshot aggregate;
-  /// Per-job SLO accounting for service runs (empty for single runs).
-  /// The writer derives the per-tenant totals from this list, so tenant
-  /// sums always reconcile with the job records by construction.
-  std::vector<JobSlo> jobs;
 };
 
 /// Replaces the process-global report (the last run wins).
@@ -109,11 +82,11 @@ void mark_run_partial();
 /// Copy of the current global report (tests, examples).
 RunReport run_report_copy();
 
-/// Writes schema "senkf-run-report" v2: the global RunReport plus the
-/// per-cycle critical paths, p50/p90/p99 latency quantiles for every
-/// "*_us" histogram, the time-series section (sampler + aggregated
-/// per-rank series), and a dump of every metric currently in the
-/// registry.
+/// Writes schema "senkf-run-report" at RunReport::kVersion: the global
+/// RunReport plus the per-cycle critical paths, p50/p90/p99 latency
+/// quantiles for every "*_us" histogram, the time-series section
+/// (sampler + aggregated per-rank series), and a dump of every metric
+/// currently in the registry.
 void write_run_report(std::ostream& out);
 void write_run_report(const std::string& path);
 

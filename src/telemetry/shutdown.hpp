@@ -9,8 +9,8 @@
 // is safe to call multiple times and from multiple engines.
 //
 // The first registration installs an atexit handler.  atexit runs LIFO,
-// and hooks are only registered from main()-time code (engine entry,
-// scheduler start), which executes after the static-init-time export
+// and hooks are only registered from main()-time code (engine entry),
+// which executes after the static-init-time export
 // handlers were installed — so the shutdown atexit fires *first*,
 // quiescing every background thread before any export walks shared
 // state.  Engines additionally call shutdown() explicitly on their exit
@@ -38,8 +38,8 @@ void register_shutdown_hook(int priority, std::function<void()> fn);
 /// Runs all registered hooks once, in priority order, then stops the
 /// timeseries background sampler.  Hooks that throw are swallowed —
 /// teardown must not abort an exiting process.  Safe to call from
-/// several engines / the service scheduler; later calls only run hooks
-/// registered since the previous call.  noexcept by contract.
+/// several engines; later calls only run hooks registered since the
+/// previous call.  noexcept by contract.
 void shutdown() noexcept;
 
 }  // namespace senkf::telemetry

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <iostream>
 #include <thread>
 
 #include "telemetry/trace.hpp"
@@ -127,7 +128,12 @@ SampleEnvConfig parse_sample_env(const char* value) {
   if (v.empty() || v == "off" || v == "0" || v == "false") return config;
   char* end = nullptr;
   const long long ms = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || ms <= 0) return config;
+  if (end == v.c_str() || *end != '\0' || ms <= 0) {
+    // Unparsable: stay off, never crash the run — but say so.
+    std::cerr << "[senkf timeseries] WARN ignoring SENKF_SAMPLE_MS='" << v
+              << "' (expected off|<ms > 0>)\n";
+    return config;
+  }
   config.enabled = true;
   config.interval_ms = static_cast<std::int64_t>(ms);
   return config;
@@ -143,6 +149,10 @@ std::condition_variable g_sampler_cv;
 std::thread g_sampler_thread;
 bool g_sampler_running = false;
 bool g_sampler_stop = false;
+// The SENKF_SAMPLE_MS value last parsed and its parse, so each run's
+// ensure call re-reads the env yet a bad value WARNs once, not per run.
+std::string g_sampler_env;
+SampleEnvConfig g_sampler_config;
 
 void sampler_loop(std::chrono::milliseconds interval) {
   std::unique_lock<std::mutex> lock(g_sampler_mutex);
@@ -160,14 +170,18 @@ void sampler_loop(std::chrono::milliseconds interval) {
 }  // namespace
 
 bool ensure_sampler_started() {
-  const SampleEnvConfig config =
-      parse_sample_env(std::getenv("SENKF_SAMPLE_MS"));
-  if (!config.enabled) return false;
+  const char* env = std::getenv("SENKF_SAMPLE_MS");
+  const std::string value = env == nullptr ? "" : env;
   std::lock_guard<std::mutex> lock(g_sampler_mutex);
+  if (value != g_sampler_env) {
+    g_sampler_config = parse_sample_env(env);
+    g_sampler_env = value;
+  }
+  if (!g_sampler_config.enabled) return false;
   if (g_sampler_running) return true;
   g_sampler_stop = false;
-  g_sampler_thread =
-      std::thread(sampler_loop, std::chrono::milliseconds(config.interval_ms));
+  g_sampler_thread = std::thread(
+      sampler_loop, std::chrono::milliseconds(g_sampler_config.interval_ms));
   g_sampler_running = true;
   // Registered at first start — i.e. after the pre-main trace/report
   // handlers — so LIFO atexit order stops the sampler before those
@@ -178,6 +192,11 @@ bool ensure_sampler_started() {
   }();
   (void)registered;
   return true;
+}
+
+std::int64_t sampler_interval_ms() {
+  std::lock_guard<std::mutex> lock(g_sampler_mutex);
+  return g_sampler_config.interval_ms;
 }
 
 void stop_sampler() {

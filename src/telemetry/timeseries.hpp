@@ -89,7 +89,8 @@ class TimeSeriesRecorder {
 
 /// Parsed form of the SENKF_SAMPLE_MS environment value (exposed for
 /// tests): empty/"off"/"0" disables; any positive integer is the
-/// sampling period in milliseconds.
+/// sampling period in milliseconds.  Anything else stays off with a
+/// WARN on stderr.
 struct SampleEnvConfig {
   bool enabled = false;
   std::int64_t interval_ms = 0;
@@ -103,6 +104,10 @@ SampleEnvConfig parse_sample_env(const char* value);
 /// Registers an atexit stop on first start.  Returns true when a sampler
 /// is running on return.
 bool ensure_sampler_started();
+
+/// The period SENKF_SAMPLE_MS gave the last ensure_sampler_started call
+/// (0 = off or never armed); the run report records it.
+std::int64_t sampler_interval_ms();
 
 /// Stops the background sampler and joins its thread (idempotent).
 void stop_sampler();

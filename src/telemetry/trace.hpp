@@ -137,7 +137,7 @@ struct PhaseStackView {
 void push_phase_frame(const char* name, Category category);
 void pop_phase_frame();
 
-/// Per-thread attribution label (tenant, engine kind) recorded with each
+/// Per-thread attribution label (the engine kind) recorded with each
 /// profile sample.  `label` must point at storage that outlives the
 /// profiler (string literals, interned strings); nullptr clears it.
 void set_profile_context(const char* label);

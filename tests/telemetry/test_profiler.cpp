@@ -103,7 +103,7 @@ TEST(Profiler, WallModeAttributesSamplesToInnermostSpan) {
   stop_profiler();
   clear_profile();
   start_profiler(500, /*wall=*/true);
-  const ProfileContextScope context("test-tenant");
+  const ProfileContextScope context("test-context");
   set_thread_rank(3);
   {
     const TraceSpan outer(Category::kRead, "outer_phase");
@@ -119,7 +119,7 @@ TEST(Profiler, WallModeAttributesSamplesToInnermostSpan) {
   for (const ProfileBucket& bucket : profile_buckets()) {
     if (bucket.stack == "outer_phase;inner_phase") {
       found = true;
-      EXPECT_EQ(bucket.context, "test-tenant");
+      EXPECT_EQ(bucket.context, "test-context");
       EXPECT_EQ(bucket.rank, 3);
       EXPECT_GE(bucket.count, 1u);
     }
@@ -127,7 +127,7 @@ TEST(Profiler, WallModeAttributesSamplesToInnermostSpan) {
   EXPECT_TRUE(found) << "no bucket attributed to outer_phase;inner_phase";
 
   const std::string collapsed = render_collapsed();
-  EXPECT_NE(collapsed.find("test-tenant;outer_phase;inner_phase "),
+  EXPECT_NE(collapsed.find("test-context;outer_phase;inner_phase "),
             std::string::npos);
   set_thread_rank(-1);
   clear_profile();

@@ -55,7 +55,7 @@ struct TracedRun {
   }
 };
 
-const TracedRun& traced_run() {
+const TracedRun& shared_run() {
   static const TracedRun run;  // one pipeline run shared by all assertions
   return run;
 }
@@ -70,7 +70,7 @@ std::size_t count_category(const std::vector<telemetry::TraceEvent>& events,
 }
 
 TEST(TelemetrySmoke, EveryPlaneEmitsSpans) {
-  const auto& run = traced_run();
+  const auto& run = shared_run();
   using telemetry::Category;
   EXPECT_GE(count_category(run.events, Category::kRead), 1u);
   EXPECT_GE(count_category(run.events, Category::kSend), 1u);
@@ -80,7 +80,7 @@ TEST(TelemetrySmoke, EveryPlaneEmitsSpans) {
 }
 
 TEST(TelemetrySmoke, SpansCoverEveryStageAndEveryRank) {
-  const auto& run = traced_run();
+  const auto& run = shared_run();
   // Per-stage coverage: read (I/O ranks), wait + update (comp ranks).
   for (telemetry::Category category :
        {telemetry::Category::kRead, telemetry::Category::kWait,
@@ -104,7 +104,7 @@ TEST(TelemetrySmoke, SpansCoverEveryStageAndEveryRank) {
 }
 
 TEST(TelemetrySmoke, StatsFacadeAgreesWithSpans) {
-  const auto& run = traced_run();
+  const auto& run = shared_run();
   // messages = comp_ranks × layers × n_cg (each I/O group coalesces its
   // members' blocks into one message per destination and stage), and the
   // update phase did real work; both derive from the same counters the
@@ -125,7 +125,7 @@ TEST(TelemetrySmoke, StatsFacadeAgreesWithSpans) {
 }
 
 TEST(TelemetrySmoke, ExportIsLoadableChromeTrace) {
-  const auto& run = traced_run();
+  const auto& run = shared_run();
   ASSERT_FALSE(run.events.empty());
   std::ostringstream out;
   telemetry::write_chrome_trace(out);
@@ -164,7 +164,7 @@ TEST(TelemetrySmoke, ExportIsLoadableChromeTrace) {
 }
 
 TEST(TelemetrySmoke, FileExportRoundTrips) {
-  (void)traced_run();
+  (void)shared_run();
   // Per-process path: the kernel-variant registrations run this same
   // binary in parallel, and a shared path makes one copy read another's
   // half-written file.
@@ -181,7 +181,7 @@ TEST(TelemetrySmoke, FileExportRoundTrips) {
 }
 
 TEST(TelemetrySmoke, MetricsRegistrySawThePipeline) {
-  (void)traced_run();
+  (void)shared_run();
   auto& registry = telemetry::Registry::global();
   EXPECT_GT(registry.counter_value("senkf.messages"), 0u);
   EXPECT_GT(registry.counter_value("senkf.comp_update_ns"), 0u);

@@ -3,9 +3,14 @@
 // codec path, and the SENKF_SAMPLE_MS env parser.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "telemetry/report.hpp"
 #include "telemetry/timeseries.hpp"
+#include "test_json.hpp"
 
 namespace senkf::telemetry {
 namespace {
@@ -192,6 +197,46 @@ TEST(SampleEnv, ParsesIntervalAndKillSwitch) {
   const SampleEnvConfig config = parse_sample_env("250");
   EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.interval_ms, 250);
+}
+
+// The arming path WARNs once for a bad value, however many runs re-arm,
+// and the report writer that records the interval adds no second WARN.
+TEST(SampleEnv, InvalidValueWarnsOnceAndStaysOff) {
+  stop_sampler();
+  ::setenv("SENKF_SAMPLE_MS", "5ms", 1);
+  ::testing::internal::CaptureStderr();
+  const bool first = ensure_sampler_started();
+  const bool second = ensure_sampler_started();
+  std::ostringstream report;
+  write_run_report(report);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("SENKF_SAMPLE_MS");
+  (void)ensure_sampler_started();
+  EXPECT_FALSE(first);
+  EXPECT_FALSE(second);
+  EXPECT_NE(err.find("WARN ignoring SENKF_SAMPLE_MS='5ms'"),
+            std::string::npos);
+  EXPECT_EQ(err.find("WARN"), err.rfind("WARN"));
+  const testjson::Value doc = testjson::parse(report.str());
+  EXPECT_EQ(doc.at("timeseries").at("sample_interval_ms").as_number(), 0.0);
+}
+
+TEST(SampleEnv, ValidValueArmsSilentlyAndReportsItsInterval) {
+  stop_sampler();
+  ::setenv("SENKF_SAMPLE_MS", "250", 1);
+  ::testing::internal::CaptureStderr();
+  const bool armed = ensure_sampler_started();
+  stop_sampler();
+  std::ostringstream report;
+  write_run_report(report);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("SENKF_SAMPLE_MS");
+  (void)ensure_sampler_started();
+  EXPECT_TRUE(armed);
+  EXPECT_EQ(err, "");
+  const testjson::Value doc = testjson::parse(report.str());
+  EXPECT_EQ(doc.at("timeseries").at("sample_interval_ms").as_number(),
+            250.0);
 }
 
 }  // namespace

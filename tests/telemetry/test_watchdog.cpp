@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "telemetry/metrics.hpp"
@@ -42,6 +43,25 @@ TEST_F(WatchdogTest, EnvParsesOnOffAndScale) {
   const WatchdogEnvConfig scaled = parse_watchdog_env("1.5");
   EXPECT_TRUE(scaled.enabled);
   EXPECT_DOUBLE_EQ(scaled.scale, 1.5);
+}
+
+TEST_F(WatchdogTest, EnvInvalidValueWarnsAndStaysOff) {
+  for (const char* value : {"fast", "-2", "1.5x", "nan"}) {
+    ::testing::internal::CaptureStderr();
+    const WatchdogEnvConfig config = parse_watchdog_env(value);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    const std::string want =
+        std::string("WARN ignoring SENKF_WATCHDOG='") + value + "'";
+    EXPECT_FALSE(config.enabled) << value;
+    EXPECT_NE(err.find(want), std::string::npos) << value;
+    EXPECT_EQ(err.find("WARN"), err.rfind("WARN")) << value;
+  }
+  // Off and valid values are silent.
+  for (const char* value : {"", "off", "0", "on", "true", "1.5"}) {
+    ::testing::internal::CaptureStderr();
+    (void)parse_watchdog_env(value);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << value;
+  }
 }
 
 TEST_F(WatchdogTest, ArmIsNoOpWhenStopped) {
