@@ -1,5 +1,6 @@
 // Micro-benchmarks of the thread-backed message-passing runtime
-// (google-benchmark).
+// (google-benchmark): the point-to-point plane the engines run on —
+// send, send_shared and recv on the world communicator.
 //
 // The fan-out benches (BM_Broadcast*, BM_Scatter*, BM_SendBlock) report
 // bytes/sec plus two per-message counters derived from the telemetry
@@ -48,6 +49,14 @@ struct PlaneCounters {
   }
 };
 
+/// `values` packed into one exact-size message body.
+Payload pack(const std::vector<double>& values) {
+  Packer packer;
+  packer.reserve(sizeof(std::uint64_t) + values.size() * sizeof(double));
+  packer.put_vector(values);
+  return packer.take();
+}
+
 void BM_PingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   const std::vector<double> data(bytes / sizeof(double), 1.0);
@@ -56,11 +65,13 @@ void BM_PingPong(benchmark::State& state) {
       constexpr int kRounds = 16;
       for (int i = 0; i < kRounds; ++i) {
         if (world.rank() == 0) {
-          world.send_doubles(1, 1, data);
-          benchmark::DoNotOptimize(world.recv_doubles(1, 2));
+          world.send(1, 1, pack(data));
+          const Envelope reply = world.recv(1, 2);
+          benchmark::DoNotOptimize(Unpacker(reply.payload).view<double>());
         } else {
-          benchmark::DoNotOptimize(world.recv_doubles(0, 1));
-          world.send_doubles(0, 2, data);
+          const Envelope request = world.recv(0, 1);
+          benchmark::DoNotOptimize(Unpacker(request.payload).view<double>());
+          world.send(0, 2, pack(data));
         }
       }
     });
@@ -251,51 +262,6 @@ void BM_SendBlockTraceOn(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(messages * bytes));
 }
 BENCHMARK(BM_SendBlockTraceOn)->Arg(262144)->UseRealTime();
-
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      for (int i = 0; i < 32; ++i) world.barrier();
-    });
-  }
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_Broadcast(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      std::vector<double> data(1024, 1.0);
-      for (int i = 0; i < 8; ++i) world.broadcast(0, data);
-    });
-  }
-}
-BENCHMARK(BM_Broadcast)->Arg(4)->Arg(16);
-
-void BM_Allreduce(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      for (int i = 0; i < 8; ++i) {
-        benchmark::DoNotOptimize(world.allreduce(
-            static_cast<double>(world.rank()), Communicator::ReduceOp::kSum));
-      }
-    });
-  }
-}
-BENCHMARK(BM_Allreduce)->Arg(4)->Arg(16);
-
-void BM_Split(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      auto sub = world.split(world.rank() % 2, world.rank());
-      benchmark::DoNotOptimize(sub);
-    });
-  }
-}
-BENCHMARK(BM_Split)->Arg(4)->Arg(16);
 
 }  // namespace
 

@@ -1259,25 +1259,26 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     }
   }
 
+  // The cost model (eqs. (7)–(9)) for this run's shape: the watchdog's
+  // deadlines come from it before the run, the drift gauges after.
+  tuning::CostModelParams mp;
+  mp.members = static_cast<std::uint64_t>(store.members());
+  mp.nx = static_cast<std::uint64_t>(store.grid().nx());
+  mp.ny = static_cast<std::uint64_t>(store.grid().ny());
+  const tuning::CostModel model(mp);
+  vcluster::SenkfParams params;
+  params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
+  params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
+  params.layers = static_cast<std::uint64_t>(config.layers);
+  params.n_cg = static_cast<std::uint64_t>(config.n_cg);
+
   // Arm the watchdog's per-phase deadlines from the same cost model the
   // auto-tuner and the drift tracker use (predictions are per I/O rank
   // per stage — exactly the granularity the scopes below arm at).  Only
   // derived when the monitor thread is actually running; otherwise the
   // deadlines stay zero and every WatchdogScope is a no-op.
-  if (telemetry::liveops::watchdog_running()) {
-    tuning::CostModelParams mp;
-    mp.members = static_cast<std::uint64_t>(store.members());
-    mp.nx = static_cast<std::uint64_t>(store.grid().nx());
-    mp.ny = static_cast<std::uint64_t>(store.grid().ny());
-    vcluster::SenkfParams params;
-    params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
-    params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
-    params.layers = static_cast<std::uint64_t>(config.layers);
-    params.n_cg = static_cast<std::uint64_t>(config.n_cg);
-    const tuning::CostModel model(mp);
-    if (model.feasible(params)) {
-      ctx.deadlines = tuning::phase_deadlines(model, params);
-    }
+  if (telemetry::liveops::watchdog_running() && model.feasible(params)) {
+    ctx.deadlines = tuning::phase_deadlines(model, params);
   }
 
   // When drop_unreadable_members is off, the failing io rank broadcasts
@@ -1354,18 +1355,9 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
       static_cast<double>(config.io_ranks() * config.layers);
   const double comp_norm =
       static_cast<double>(config.computation_ranks() * config.layers);
-  tuning::CostModelParams mp;
-  mp.members = static_cast<std::uint64_t>(store.members());
-  mp.nx = static_cast<std::uint64_t>(store.grid().nx());
-  mp.ny = static_cast<std::uint64_t>(store.grid().ny());
-  vcluster::SenkfParams params;
-  params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
-  params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
-  params.layers = static_cast<std::uint64_t>(config.layers);
-  params.n_cg = static_cast<std::uint64_t>(config.n_cg);
   const tuning::PhaseDrift drift = tuning::record_model_drift(
-      tuning::CostModel(mp), params, io_read_s / io_norm,
-      io_send_s / io_norm, comp_update_s / comp_norm);
+      model, params, io_read_s / io_norm, io_send_s / io_norm,
+      comp_update_s / comp_norm);
 
   // Cycle boundary: snapshot the registry into the process time-series
   // (the drift gauges set above become a per-cycle trend point), then

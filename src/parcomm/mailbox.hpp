@@ -1,10 +1,10 @@
 // Per-rank message queue with MPI-style (source, tag) matching.
 //
-// A Mailbox holds the envelopes addressed to one (communicator, rank)
-// pair.  `pop` blocks until an envelope matching the requested source/tag
-// arrives (wildcards supported), preserving arrival order among matching
-// envelopes — the non-overtaking guarantee MPI programs rely on.  A
-// deadline turns silent deadlocks in user code into loud ProtocolErrors.
+// A Mailbox holds the envelopes addressed to one rank.  `pop` blocks
+// until an envelope matching the requested source/tag arrives (wildcards
+// supported), preserving arrival order among matching envelopes — the
+// non-overtaking guarantee MPI programs rely on.  A deadline turns silent
+// deadlocks in user code into loud ProtocolErrors.
 #pragma once
 
 #include <chrono>
@@ -64,7 +64,7 @@ class Mailbox {
   /// Deadline overload returning a status instead of throwing: nullopt
   /// means the deadline passed with nothing matching — the caller decides
   /// whether that is a straggler, a dead peer or business as usual.  A
-  /// deadline already in the past degrades to try_pop.
+  /// deadline already in the past still takes a match that is queued.
   std::optional<Envelope> pop_until(
       int source, int tag, std::chrono::steady_clock::time_point deadline);
 
@@ -72,8 +72,9 @@ class Mailbox {
   std::optional<Envelope> pop_for(int source, int tag,
                                   std::chrono::milliseconds timeout);
 
-  /// Non-blocking variant: returns nullopt when nothing matches now.
-  std::optional<Envelope> try_pop(int source, int tag);
+  /// True when an envelope matching (source, tag) is queued now.  Leaves
+  /// the queue untouched, so arrival order survives a probe.
+  bool probe(int source, int tag) const;
 
   /// Number of queued envelopes (diagnostic).
   std::size_t size() const;

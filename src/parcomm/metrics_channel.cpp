@@ -29,9 +29,9 @@ telemetry::MetricsSnapshot reduce_snapshots(
     const std::function<bool()>& cancelled, std::chrono::milliseconds poll) {
   const int rank = world.rank();
   const int size = world.size();
-  // Same binomial schedule as Communicator::allreduce's reduce leg: in
-  // round `mask` the ranks with that bit set send their partial to
-  // rank - mask and drop out; the others absorb rank + mask's subtree.
+  // Binomial schedule: in round `mask` the ranks with that bit set send
+  // their partial to rank - mask and drop out; the others absorb
+  // rank + mask's subtree.
   for (int mask = 1; mask < size; mask <<= 1) {
     if ((rank & mask) != 0) {
       world.send(rank - mask, tag, Payload(mine.encode()));

@@ -4,7 +4,7 @@
 // nothing about messaging (telemetry sits below parcomm); this header
 // ships the encoded snapshots over a caller-chosen tag using the
 // zero-copy SharedPayload envelopes, reducing them to rank 0 along a
-// binomial tree (the same O(log P) schedule as Communicator::allreduce).
+// binomial tree in O(log P) point-to-point rounds.
 #pragma once
 
 #include <chrono>

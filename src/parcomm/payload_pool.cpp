@@ -55,18 +55,15 @@ Payload PayloadPool::acquire(std::size_t bytes) {
       if (!bucket.empty()) {
         Payload recycled = std::move(bucket.back());
         bucket.pop_back();
-        hits_.fetch_add(1, std::memory_order_relaxed);
         PoolMetrics::get().hit.add(1);
         return recycled;  // cleared on release; capacity >= kMinBytes << index
       }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     PoolMetrics::get().miss.add(1);
     Payload fresh;
     fresh.reserve(kMinBytes << index);
     return fresh;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   PoolMetrics::get().miss.add(1);
   Payload fresh;
   fresh.reserve(bytes);
@@ -75,10 +72,7 @@ Payload PayloadPool::acquire(std::size_t bytes) {
 
 void PayloadPool::release(Payload&& buffer) {
   const std::size_t capacity = buffer.capacity();
-  if (capacity < kMinBytes || capacity > kMaxBytes) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  if (capacity < kMinBytes || capacity > kMaxBytes) return;
   // Floor bucket: every buffer stored in buckets_[i] must satisfy the
   // capacity >= kMinBytes << i contract acquire() hands out.
   std::size_t index = bucket_of(capacity);
@@ -88,22 +82,8 @@ void PayloadPool::release(Payload&& buffer) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (buckets_.empty()) buckets_.resize(bucket_count());
     auto& bucket = buckets_[index];
-    if (bucket.size() < kMaxPerBucket) {
-      bucket.push_back(std::move(buffer));
-      returned_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (bucket.size() < kMaxPerBucket) bucket.push_back(std::move(buffer));
   }
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
-PayloadPool::Stats PayloadPool::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.returned = returned_.load(std::memory_order_relaxed);
-  s.dropped = dropped_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace senkf::parcomm

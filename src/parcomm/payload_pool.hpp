@@ -9,8 +9,6 @@
 // buffer comes back here.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -39,22 +37,10 @@ class PayloadPool {
   /// range or the bucket is full.
   void release(Payload&& buffer);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t returned = 0;
-    std::uint64_t dropped = 0;
-  };
-  Stats stats() const;
-
  private:
   static std::size_t bucket_of(std::size_t bytes);
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> returned_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::vector<Payload>> buckets_;
 };
 

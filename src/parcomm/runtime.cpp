@@ -13,7 +13,9 @@ void Runtime::run(int world_size, const RankMain& rank_main) {
   SENKF_REQUIRE(world_size > 0, "Runtime: world size must be positive");
   SENKF_REQUIRE(rank_main != nullptr, "Runtime: rank main must be callable");
 
-  auto bus = std::make_shared<Bus>(world_size);
+  // One mailbox per rank, fixed for the whole run: ranks index it
+  // directly, without a lock, and it outlives every rank thread.
+  std::vector<Mailbox> mailboxes(static_cast<std::size_t>(world_size));
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
@@ -25,7 +27,7 @@ void Runtime::run(int world_size, const RankMain& rank_main) {
         // Every span this thread records is attributed to its rank
         // (helper threads and pool workers re-assert it themselves).
         telemetry::set_thread_rank(rank);
-        Communicator world(bus, /*comm_id=*/0, rank, world_size);
+        Communicator world(mailboxes, rank);
         rank_main(world);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);

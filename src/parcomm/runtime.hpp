@@ -1,10 +1,11 @@
 // Thread-backed "virtual MPI job" launcher.
 //
-// `Runtime::run(n, main)` plays the role of mpirun: it spawns n threads,
-// hands each a world Communicator, joins them all, and rethrows the first
-// exception any rank raised (after every thread has exited, so no dangling
-// references).  Ranks are plain callables, which keeps the EnKF
-// implementations testable in-process and deterministic.
+// `Runtime::run(n, main)` plays the role of mpirun: it builds one mailbox
+// per rank, spawns n threads, hands each a world Communicator over those
+// mailboxes, joins them all, and rethrows the first exception any rank
+// raised (after every thread has exited, so no dangling references).
+// Ranks are plain callables, which keeps the EnKF implementations
+// testable in-process and deterministic.
 #pragma once
 
 #include <functional>

@@ -345,33 +345,6 @@ MetricsSnapshot MetricsSnapshot::capture(const Registry& registry) {
   return out;
 }
 
-MetricsSnapshot MetricsSnapshot::capture_delta(const Registry& registry,
-                                               const MetricsSnapshot& baseline) {
-  MetricsSnapshot out = capture(registry);
-  for (auto& [name, v] : out.counters) {
-    const auto it = baseline.counters.find(name);
-    if (it != baseline.counters.end()) {
-      v = v >= it->second ? v - it->second : 0;  // reset between captures
-    }
-  }
-  for (auto& [name, h] : out.histograms) {
-    const auto it = baseline.histograms.find(name);
-    if (it == baseline.histograms.end() || it->second.bounds != h.bounds) {
-      continue;
-    }
-    const HistogramState& base = it->second;
-    for (std::size_t i = 0; i < h.buckets.size() && i < base.buckets.size();
-         ++i) {
-      h.buckets[i] = h.buckets[i] >= base.buckets[i]
-                         ? h.buckets[i] - base.buckets[i]
-                         : 0;
-    }
-    h.count = h.count >= base.count ? h.count - base.count : 0;
-    h.sum = h.sum >= base.sum ? h.sum - base.sum : 0.0;
-  }
-  return out;
-}
-
 namespace {
 
 template <typename Key, typename Value>

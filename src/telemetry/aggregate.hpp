@@ -102,12 +102,6 @@ class MetricsSnapshot {
   /// Captures every metric currently in the registry: counters and
   /// histograms verbatim, each gauge as a single observation.
   static MetricsSnapshot capture(const Registry& registry);
-
-  /// Same, minus a baseline: counter and histogram values are subtracted
-  /// saturating at zero (a reset between captures never wraps); gauges
-  /// keep their current value (deltas are meaningless for levels).
-  static MetricsSnapshot capture_delta(const Registry& registry,
-                                       const MetricsSnapshot& baseline);
 };
 
 /// Imbalance of one per-rank quantity: slowest vs mean.

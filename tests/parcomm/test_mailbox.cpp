@@ -60,12 +60,20 @@ TEST(Mailbox, SkipsNonMatching) {
   EXPECT_EQ(box.size(), 1u);  // tag-1 message still queued
 }
 
-TEST(Mailbox, TryPopNonBlocking) {
+TEST(Mailbox, ProbeMatchesWithoutTaking) {
   Mailbox box;
-  EXPECT_FALSE(box.try_pop(kAnySource, kAnyTag).has_value());
-  box.push(make(0, 1));
-  EXPECT_TRUE(box.try_pop(0, 1).has_value());
-  EXPECT_FALSE(box.try_pop(0, 1).has_value());
+  EXPECT_FALSE(box.probe(kAnySource, kAnyTag));
+  box.push(make(0, 1, 1.0));
+  box.push(make(0, 1, 2.0));
+  EXPECT_TRUE(box.probe(0, 1));
+  EXPECT_TRUE(box.probe(kAnySource, kAnyTag));
+  EXPECT_FALSE(box.probe(0, 2));
+  EXPECT_FALSE(box.probe(1, 1));
+  // Nothing was taken or moved: both envelopes are queued in send order.
+  EXPECT_EQ(box.size(), 2u);
+  EXPECT_DOUBLE_EQ(Unpacker(box.pop(0, 1).payload).get<double>(), 1.0);
+  EXPECT_DOUBLE_EQ(Unpacker(box.pop(0, 1).payload).get<double>(), 2.0);
+  EXPECT_FALSE(box.probe(0, 1));
 }
 
 TEST(Mailbox, BlocksUntilPushFromAnotherThread) {

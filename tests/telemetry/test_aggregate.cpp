@@ -192,29 +192,6 @@ TEST(SnapshotTest, DecodeRejectsTruncatedPayloads) {
   }
 }
 
-TEST(SnapshotTest, CaptureDeltaSubtractsBaselineSaturating) {
-  Registry registry;
-  registry.counter("c").add(10);
-  registry.gauge("g").set(5);
-  const MetricsSnapshot baseline = MetricsSnapshot::capture(registry);
-  EXPECT_EQ(baseline.counter("c"), 10u);
-
-  registry.counter("c").add(7);
-  registry.gauge("g").set(-3);
-  const MetricsSnapshot delta =
-      MetricsSnapshot::capture_delta(registry, baseline);
-  EXPECT_EQ(delta.counter("c"), 7u);
-  // Gauges are levels: the delta keeps the current value.
-  EXPECT_EQ(delta.gauges.at("g").max, -3);
-
-  // A reset between captures saturates at zero instead of wrapping.
-  registry.reset();
-  registry.counter("c").add(2);
-  const MetricsSnapshot after_reset =
-      MetricsSnapshot::capture_delta(registry, baseline);
-  EXPECT_EQ(after_reset.counter("c"), 0u);
-}
-
 TEST(SnapshotTest, ConcurrentObserversAndCaptureAreRaceFree) {
   // Exercised under -DSENKF_SANITIZE=thread in CI: writers hammer the
   // registry while captures run; values only need to be sane, not a
